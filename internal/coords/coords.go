@@ -5,10 +5,11 @@
 // examples (dual form, CSR storage), and independent of whether the view
 // covers the whole problem or one worker's partition of it.
 //
-// Both the TPA-SCD GPU kernel and the distributed workers operate on this
-// view, so the same update code serves the single-device experiments
-// (Figs. 1-2), the distributed CPU experiments (Figs. 3-6) and the
-// distributed GPU experiments (Figs. 8-10).
+// The distributed workers operate on this view; wrapped as a Loss it is
+// what the engine's epoch drivers run over as their local solvers, so the
+// same update code serves the single-device experiments (Figs. 1-2), the
+// distributed CPU experiments (Figs. 3-6) and the distributed GPU
+// experiments (Figs. 8-10).
 package coords
 
 import (
@@ -91,36 +92,22 @@ func (v *View) CoordNZ(c int) ([]int32, []float32) {
 	return v.Idx[lo:hi], v.Val[lo:hi]
 }
 
-// Delta computes the exact coordinate step (eq. 2 primal / eq. 4 dual)
-// for coordinate c given a shared-vector accessor and the current weight.
-func (v *View) Delta(c int, get func(i int32) float32, cur float32) float32 {
-	return v.DeltaSigma(c, get, cur, 1)
-}
-
-// DeltaSigma is Delta with the CoCoA+ subproblem-safety parameter σ′ ≥ 1
-// scaling the data-curvature term (Ma et al., the "adding vs. averaging"
-// work the paper compares its scaling against): the local step becomes
-//
-//	Δ = (gradient terms) / (σ′·‖a_c‖² + Nλ).
-//
-// σ′ = 1 recovers the exact coordinate step of Algorithm 1 (the paper's
-// CoCoA-with-σ=1 configuration); σ′ = K damps local steps enough that the
-// aggregated updates can be *added* (γ = 1) without overshooting.
-func (v *View) DeltaSigma(c int, get func(i int32) float32, cur float32, sigma float64) float32 {
-	idx, val := v.CoordNZ(c)
-	nl := float64(v.NGlobal) * v.Lambda
-	var dp float64
-	if v.Form == perfmodel.Primal {
-		for k := range idx {
-			i := idx[k]
-			dp += float64(val[k]) * (float64(v.YShared[i]) - float64(get(i)))
+// MulModel overwrites dst (length SharedLen) with Σ_c model[c]·a_c, the
+// view's share of the shared vector: all of w = Aβ (w̄ = Aᵀα) for a
+// whole-problem view, one worker's summand of it for a partition.
+func (v *View) MulModel(dst, model []float32) {
+	for i := range dst {
+		dst[i] = 0
+	}
+	for c, m := range model {
+		if m == 0 {
+			continue
 		}
-		return float32((dp - nl*float64(cur)) / (sigma*v.Norms[c] + nl))
+		idx, val := v.CoordNZ(c)
+		for k := range idx {
+			dst[idx[k]] += val[k] * m
+		}
 	}
-	for k := range idx {
-		dp += float64(val[k]) * float64(get(idx[k]))
-	}
-	return float32((v.Lambda*float64(v.YCoord[c]) - dp - nl*float64(cur)) / (nl + sigma*v.Norms[c]))
 }
 
 // Validate checks the structural invariants of the view.

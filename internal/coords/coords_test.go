@@ -31,6 +31,24 @@ func testProblem(t testing.TB, seed uint64, n, m, nnzPerRow int, lambda float64)
 	return p
 }
 
+// delta is the exact (σ′ = 1) step of coordinate c through the view-backed
+// Loss against a plain shared vector, the way the engine's sequential
+// driver composes it: inner product, then Step.
+func delta(v *View, c int, shared []float32, cur float32) float32 {
+	l := NewLoss(v, 1)
+	idx, val := l.CoordNZ(c)
+	labels := l.Labels()
+	var dp float64
+	for k, i := range idx {
+		if l.Residual() {
+			dp += float64(val[k]) * (float64(labels[i]) - float64(shared[i]))
+		} else {
+			dp += float64(val[k]) * float64(shared[i])
+		}
+	}
+	return l.Step(c, dp, cur)
+}
+
 func TestFromProblemValid(t *testing.T) {
 	p := testProblem(t, 1, 30, 20, 4, 0.1)
 	for _, form := range []perfmodel.Form{perfmodel.Primal, perfmodel.Dual} {
@@ -50,7 +68,7 @@ func TestFromProblemValid(t *testing.T) {
 	}
 }
 
-// Delta through the view must equal Delta through the ridge package.
+// The step through the view-backed Loss must equal the ridge package's.
 func TestDeltaMatchesRidge(t *testing.T) {
 	p := testProblem(t, 2, 40, 25, 5, 0.05)
 	r := rng.New(3)
@@ -63,10 +81,9 @@ func TestDeltaMatchesRidge(t *testing.T) {
 		beta[j] = float32(r.NormFloat64())
 	}
 	v := FromProblem(p, perfmodel.Primal)
-	get := func(i int32) float32 { return w[i] }
 	for m := 0; m < p.M; m++ {
 		want := p.PrimalDelta(m, w, beta[m])
-		got := v.Delta(m, get, beta[m])
+		got := delta(v, m, w, beta[m])
 		if math.Abs(float64(got-want)) > 1e-6 {
 			t.Fatalf("primal delta %d: %v vs %v", m, got, want)
 		}
@@ -77,10 +94,9 @@ func TestDeltaMatchesRidge(t *testing.T) {
 		wbar[i] = float32(r.NormFloat64())
 	}
 	dv := FromProblem(p, perfmodel.Dual)
-	getW := func(i int32) float32 { return wbar[i] }
 	for n := 0; n < p.N; n++ {
 		want := p.DualDelta(n, wbar, alpha[n])
-		got := dv.Delta(n, getW, alpha[n])
+		got := delta(dv, n, wbar, alpha[n])
 		if math.Abs(float64(got-want)) > 1e-6 {
 			t.Fatalf("dual delta %d: %v vs %v", n, got, want)
 		}
@@ -97,15 +113,14 @@ func TestSubsetDeltasMatchFull(t *testing.T) {
 	for i := range w {
 		w[i] = float32(r.NormFloat64())
 	}
-	get := func(i int32) float32 { return w[i] }
 	full := FromProblem(p, perfmodel.Primal)
 	sub := Subset(p, perfmodel.Primal, ids)
 	if err := sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	for k, id := range ids {
-		want := full.Delta(id, get, 0.25)
-		got := sub.Delta(k, get, 0.25)
+		want := delta(full, id, w, 0.25)
+		got := delta(sub, k, w, 0.25)
 		if math.Abs(float64(got-want)) > 1e-6 {
 			t.Fatalf("subset delta %d: %v vs %v", k, got, want)
 		}
@@ -115,7 +130,6 @@ func TestSubsetDeltasMatchFull(t *testing.T) {
 	for i := range wbar {
 		wbar[i] = float32(r.NormFloat64())
 	}
-	getW := func(i int32) float32 { return wbar[i] }
 	fullD := FromProblem(p, perfmodel.Dual)
 	rows := []int{0, 5, 17, 34}
 	subD := Subset(p, perfmodel.Dual, rows)
@@ -123,8 +137,8 @@ func TestSubsetDeltasMatchFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, id := range rows {
-		want := fullD.Delta(id, getW, -0.5)
-		got := subD.Delta(k, getW, -0.5)
+		want := delta(fullD, id, wbar, -0.5)
+		got := delta(subD, k, wbar, -0.5)
 		if math.Abs(float64(got-want)) > 1e-6 {
 			t.Fatalf("dual subset delta %d: %v vs %v", k, got, want)
 		}
@@ -222,10 +236,9 @@ func TestUnitValueViewEquivalence(t *testing.T) {
 		for i := range shared {
 			shared[i] = float32(r.NormFloat64())
 		}
-		get := func(i int32) float32 { return shared[i] }
 		for c := 0; c < auto.Num; c++ {
-			da := auto.Delta(c, get, 0.3)
-			de := explicit.Delta(c, get, 0.3)
+			da := delta(auto, c, shared, 0.3)
+			de := delta(explicit, c, shared, 0.3)
 			if da != de {
 				t.Fatalf("%v coordinate %d: pattern delta %v != explicit %v", form, c, da, de)
 			}

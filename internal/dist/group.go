@@ -11,7 +11,6 @@ import (
 	"tpascd/internal/gpusim"
 	"tpascd/internal/perfmodel"
 	"tpascd/internal/ridge"
-	"tpascd/internal/tpascd"
 )
 
 // Group runs a whole K-worker cluster inside one process, with the workers
@@ -32,16 +31,7 @@ type Group struct {
 // each rank derives its permutation seed from the group seed.
 func NewCPUGroup(p *ridge.Problem, form perfmodel.Form, k int, spec engine.DriverSpec,
 	profile perfmodel.CPUProfile, cfg Config, seed uint64) (*Group, error) {
-	return newGroup(p, form, k, nil, cfg, seed, func(rank int, view *coords.View) (Local, func(), error) {
-		rs := spec
-		rs.Seed = seed + uint64(rank)*7919
-		l, err := NewCPULocal(view, rs, profile)
-		if err != nil {
-			return nil, nil, err
-		}
-		l.SetSigma(cfg.SigmaPrime)
-		return l, nil, nil
-	})
+	return newCPUGroup(p, form, k, nil, spec, profile, cfg, seed)
 }
 
 // NewCPUGroupWithPartition is NewCPUGroup with an explicit coordinate
@@ -50,19 +40,20 @@ func NewCPUGroup(p *ridge.Problem, form perfmodel.Form, k int, spec engine.Drive
 // Section IV of the paper).
 func NewCPUGroupWithPartition(p *ridge.Problem, form perfmodel.Form, parts Partition, spec engine.DriverSpec,
 	profile perfmodel.CPUProfile, cfg Config, seed uint64) (*Group, error) {
-	return newGroup(p, form, len(parts), parts, cfg, seed, func(rank int, view *coords.View) (Local, func(), error) {
-		rs := spec
-		rs.Seed = seed + uint64(rank)*7919
-		l, err := NewCPULocal(view, rs, profile)
-		if err != nil {
-			return nil, nil, err
-		}
-		return l, nil, nil
+	return newCPUGroup(p, form, len(parts), parts, spec, profile, cfg, seed)
+}
+
+func newCPUGroup(p *ridge.Problem, form perfmodel.Form, k int, parts Partition, spec engine.DriverSpec,
+	profile perfmodel.CPUProfile, cfg Config, seed uint64) (*Group, error) {
+	return newGroup(p, form, k, parts, cfg, seed, func(rank int, view *coords.View) (Local, func(), error) {
+		spec.Seed = rankSeed(seed, rank)
+		l, err := NewCPULocal(view, spec, profile)
+		return l, nil, err
 	})
 }
 
 // NewGPUGroup builds a K-worker group whose local solvers are TPA-SCD
-// kernels, each on its own simulated device (the Fig. 7 architecture:
+// drivers, each on its own simulated device (the Fig. 7 architecture:
 // one GPU per worker, data resident on the device).
 func NewGPUGroup(p *ridge.Problem, form perfmodel.Form, k int, gpu perfmodel.GPUProfile,
 	blockSize int, cfg Config, seed uint64) (*Group, error) {
@@ -72,14 +63,16 @@ func NewGPUGroup(p *ridge.Problem, form perfmodel.Form, k int, gpu perfmodel.GPU
 			dev.PinnedLink = cfg.PCIe
 			dev.PageableLink = cfg.PCIe
 		}
-		kernel, err := tpascd.NewKernel(dev, view, blockSize, seed+uint64(rank)*7919)
+		l, err := NewGPULocal(view, engine.DriverSpec{Device: dev, BlockSize: blockSize, Seed: rankSeed(seed, rank)})
 		if err != nil {
 			return nil, nil, err
 		}
-		l := NewGPULocal(kernel)
 		return l, l.Close, nil
 	})
 }
+
+// rankSeed derives a rank's permutation seed from the group seed.
+func rankSeed(seed uint64, rank int) uint64 { return seed + uint64(rank)*7919 }
 
 func newGroup(p *ridge.Problem, form perfmodel.Form, k int, parts Partition, cfg Config, seed uint64,
 	makeLocal func(rank int, view *coords.View) (Local, func(), error)) (*Group, error) {

@@ -2,16 +2,10 @@ package dist
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
-	"tpascd/internal/atomicf"
 	"tpascd/internal/coords"
 	"tpascd/internal/engine"
 	"tpascd/internal/perfmodel"
-	"tpascd/internal/rng"
-	"tpascd/internal/tpascd"
 )
 
 // Local is the per-worker local solver plugged into the distributed
@@ -19,14 +13,18 @@ import (
 // coordinates, updating the local model and the (worker-local copy of the)
 // global shared vector in place.
 //
-// Local is deliberately not engine.Solver: the engine's drivers own their
-// model and shared vector and answer for a whole problem, while a local
-// solver operates in place on state owned by the distributed driver
-// (aggregated between rounds) over a coordinate partition, with CoCoA+ σ′
-// damping the engine's exact steps have no use for. The epoch bodies are
-// the engine's, specialized to that contract; which body runs is selected
-// by an engine.DriverSpec so the dist layer names no drivers of its own —
-// the registry's names and aliases are the only vocabulary.
+// The pass itself is not written here. The paper reuses Algorithms 1–2
+// unchanged as the CoCoA local solver, and so does this package: a local
+// is an engine driver, built by engine.NewSolver over the partition's
+// view-backed loss (coords.Loss, which carries the CoCoA+ σ′) and run in
+// place on the model and shared vector the Worker owns and aggregates
+// between rounds. Which driver runs is an engine.DriverSpec, so the
+// registry's names and aliases are the only vocabulary. What the two
+// adapters below add is what only a distributed round needs: handing back
+// the unscaled shared-vector delta of a σ′-damped pass, staging vectors
+// across PCIe for a device-resident driver, and the modeled epoch times
+// the Worker max-reduces. A partition has no duality gap of its own, so a
+// Local has no Gap; Worker.Gap evaluates it collectively.
 type Local interface {
 	// Epoch mutates model (length = number of local coordinates) and
 	// shared (global shared-vector length) in place.
@@ -38,112 +36,75 @@ type Local interface {
 	NumCoords() int
 }
 
-// cpuEpochs maps canonical engine driver names to CPULocal epoch bodies.
-// The keys come from the engine's driver registry; the bodies are local
-// specializations carrying the σ′-damped in-place update the engine's
-// whole-problem solvers do not model. tpa-scd is absent on purpose: its
-// local solver is GPULocal, built around a device kernel.
-var cpuEpochs = map[string]func(l *CPULocal, model, shared []float32){
-	engine.DriverSequential: (*CPULocal).epochSequential,
-	engine.DriverAtomic: func(l *CPULocal, model, shared []float32) {
-		l.epochAsync(model, shared, false)
-	},
-	engine.DriverWild: func(l *CPULocal, model, shared []float32) {
-		l.epochAsync(model, shared, true)
-	},
-	engine.DriverSyscd: (*CPULocal).epochSyscd,
+// hostDriver is what a CPU local calls on an engine driver: epochs on
+// borrowed state, a replayable permutation stream, and the work counts the
+// time model is fed. The host drivers (scd, a-scd, wild, syscd) qualify.
+type hostDriver interface {
+	Bind(model, shared []float32)
+	RunEpoch()
+	SkipEpochs(n int)
+	EpochWork() (nnz, coords int64)
 }
 
-// CPULocal runs a coordinate-descent epoch over a coords.View on the host.
+// CPULocal runs an engine host driver as the local solver of a partition.
 type CPULocal struct {
+	driver  hostDriver
 	view    *coords.View
-	driver  string // canonical engine driver name
-	threads int
+	loss    *coords.Loss // the driver's loss; SetSigma replaces its contents
 	profile perfmodel.CPUProfile
-	rng     *rng.Xoshiro256
-	perm    []int
 	sigma   float64 // CoCoA+ subproblem-safety σ′ (1 = exact steps)
 	scratch []float32
-
-	// syscd state: bucket geometry and per-thread shared-vector replicas
-	// with their merge bases (lazily allocated on first parallel epoch).
-	bucket     int
-	mergeEvery int
-	repl       [][]float32
-	base       [][]float32
-	mu         sync.Mutex
 }
 
 // NewCPULocal builds a CPU local solver for a registered engine driver.
 // spec.Name resolves through the engine registry (empty = sequential);
-// drivers without a CPU local epoch (tpa-scd) and unknown names are
-// rejected with the registry's vocabulary in the error.
+// unknown names are rejected with the registry's vocabulary in the error,
+// and so are drivers that cannot run in place on host vectors (tpa-scd,
+// whose local is GPULocal).
 func NewCPULocal(view *coords.View, spec engine.DriverSpec, profile perfmodel.CPUProfile) (*CPULocal, error) {
-	name, err := engine.Canonical(spec.Name)
+	// A partition's model cannot rebuild the global shared vector, and the
+	// round's aggregation re-bases it anyway.
+	spec.RecomputeEvery = 0
+	loss := coords.NewLoss(view, 1)
+	s, err := engine.NewSolver(loss, spec)
 	if err != nil {
 		return nil, err
 	}
-	if cpuEpochs[name] == nil {
-		return nil, fmt.Errorf("dist: engine driver %q has no CPU local epoch", name)
+	driver, ok := s.(hostDriver)
+	if !ok {
+		if c, ok := s.(interface{ Close() }); ok {
+			c.Close()
+		}
+		return nil, fmt.Errorf("dist: %s cannot run in place as a CPU local", s.Name())
 	}
-	threads := spec.Threads
-	if name == engine.DriverSequential || threads < 1 {
-		threads = 1
-	}
-	bucket := spec.BucketSize
-	if bucket <= 0 {
-		bucket = engine.DefaultBucketSize
-	}
-	return &CPULocal{
-		view:       view,
-		driver:     name,
-		threads:    threads,
-		profile:    profile,
-		rng:        rng.New(spec.Seed),
-		sigma:      1,
-		bucket:     bucket,
-		mergeEvery: spec.MergeEvery,
-	}, nil
+	return &CPULocal{driver: driver, view: view, loss: loss, profile: profile, sigma: 1}, nil
 }
 
 // SetSigma sets the CoCoA+ σ′ damping of the local steps (values < 1 are
-// clamped to 1).
+// clamped to 1). NewWorker calls it with Config.SigmaPrime; it must not be
+// called once epochs are running.
 func (l *CPULocal) SetSigma(sigma float64) {
 	if sigma < 1 {
 		sigma = 1
 	}
 	l.sigma = sigma
+	*l.loss = *coords.NewLoss(l.view, sigma)
 }
 
-// SkipEpochs burns n epochs' worth of permutation randomness, aligning a
-// freshly constructed solver with one that already ran n epochs. Used by
-// checkpoint resume: a restarted rank skips the epochs it already trained,
-// so its continued trajectory draws the same permutation sequence an
-// uninterrupted run would have.
-func (l *CPULocal) SkipEpochs(n int) {
-	for i := 0; i < n; i++ {
-		l.perm = l.rng.Perm(l.permLen(), l.perm)
-	}
-}
+// SkipEpochs burns n epochs' worth of the driver's permutation randomness,
+// aligning a freshly constructed solver with one that already ran n
+// epochs. Used by checkpoint resume: a restarted rank skips the epochs it
+// already trained, so its continued trajectory draws the same permutation
+// sequence an uninterrupted run would have.
+func (l *CPULocal) SkipEpochs(n int) { l.driver.SkipEpochs(n) }
 
-// permLen is the length of each epoch's permutation draw: the coordinate
-// count, except the parallel syscd body, which permutes buckets.
-func (l *CPULocal) permLen() int {
-	if l.driver == engine.DriverSyscd && l.threads > 1 {
-		return l.numBuckets()
-	}
-	return l.view.Num
-}
-
-func (l *CPULocal) numBuckets() int { return (l.view.Num + l.bucket - 1) / l.bucket }
-
-// Epoch performs one permuted pass over the local coordinates with the
-// configured driver's epoch body.
+// Epoch performs one permuted pass of the driver over the local
+// coordinates, in place.
 //
 // With σ′ > 1 the pass solves the CoCoA+ local subproblem: the working
 // shared vector carries the local updates scaled by σ′ (the subproblem's
 // quadratic term is σ′/(2N)·‖A_kΔβ_k‖²), and the unscaled delta is handed
-// back at the end so the driver aggregates true A_kΔβ_k contributions.
+// back at the end so the Worker aggregates true A_kΔβ_k contributions.
 func (l *CPULocal) Epoch(model, shared []float32) {
 	damped := l.sigma > 1
 	if damped {
@@ -152,14 +113,8 @@ func (l *CPULocal) Epoch(model, shared []float32) {
 		}
 		copy(l.scratch[:len(shared)], shared)
 	}
-	if l.threads == 1 {
-		// Every CPU driver degenerates to the sequential pass at one
-		// thread (no contention to manage), keeping syscd@1 and scd
-		// bitwise-identical here just as in the engine.
-		l.epochSequential(model, shared)
-	} else {
-		cpuEpochs[l.driver](l, model, shared)
-	}
+	l.driver.Bind(model, shared)
+	l.driver.RunEpoch()
 	if damped {
 		// shared currently holds w + σ′·A_kΔβ_k; rescale to w + A_kΔβ_k.
 		sigma32 := float32(l.sigma)
@@ -170,193 +125,56 @@ func (l *CPULocal) Epoch(model, shared []float32) {
 	}
 }
 
-// epochSequential is the single-threaded Algorithm 1 pass.
-func (l *CPULocal) epochSequential(model, shared []float32) {
-	v := l.view
-	l.perm = l.rng.Perm(v.Num, l.perm)
-	sigma32 := float32(l.sigma)
-	get := func(i int32) float32 { return shared[i] }
-	for _, c := range l.perm {
-		d := v.DeltaSigma(c, get, model[c], l.sigma)
-		model[c] += d
-		idx, val := v.CoordNZ(c)
-		for k := range idx {
-			shared[idx[k]] += sigma32 * val[k] * d
-		}
-	}
-}
-
-// epochAsync is the chunked parallel pass shared by a-scd (lossless atomic
-// shared-vector updates) and wild (racy read-modify-write updates).
-func (l *CPULocal) epochAsync(model, shared []float32, wild bool) {
-	v := l.view
-	l.perm = l.rng.Perm(v.Num, l.perm)
-	sigma32 := float32(l.sigma)
-	var wg sync.WaitGroup
-	chunk := (v.Num + l.threads - 1) / l.threads
-	for t := 0; t < l.threads; t++ {
-		lo := t * chunk
-		if lo >= v.Num {
-			break
-		}
-		hi := lo + chunk
-		if hi > v.Num {
-			hi = v.Num
-		}
-		wg.Add(1)
-		go func(cs []int) {
-			defer wg.Done()
-			get := func(i int32) float32 { return atomicf.LoadFloat32(&shared[i]) }
-			var stores uint
-			for _, c := range cs {
-				d := v.DeltaSigma(c, get, model[c], l.sigma)
-				model[c] += d
-				idx, val := v.CoordNZ(c)
-				if wild {
-					// Racy read-modify-write with the same few-core yield
-					// as engine.Async (see engine.wildYieldMask).
-					for k := range idx {
-						cur := atomicf.LoadFloat32(&shared[idx[k]])
-						if stores&1023 == 0 {
-							runtime.Gosched()
-						}
-						stores++
-						atomicf.StoreFloat32(&shared[idx[k]], cur+sigma32*val[k]*d)
-					}
-				} else {
-					for k := range idx {
-						atomicf.AddFloat32(&shared[idx[k]], sigma32*val[k]*d)
-					}
-				}
-			}
-		}(l.perm[lo:hi])
-	}
-	wg.Wait()
-}
-
-// epochSyscd is the SySCD bucketed pass (cf. engine.Syscd): threads deal
-// cache-line-aligned coordinate buckets from a permuted stream, apply
-// updates to private replicas of the shared vector with plain loads and
-// stores, and periodically fold their deltas back under a mutex — no
-// atomics on the hot path and no lost updates.
-func (l *CPULocal) epochSyscd(model, shared []float32) {
-	v := l.view
-	numBuckets := l.numBuckets()
-	l.perm = l.rng.Perm(numBuckets, l.perm)
-	sigma32 := float32(l.sigma)
-	mergeEvery := l.mergeEvery
-	if mergeEvery <= 0 {
-		mergeEvery = (numBuckets + 4*l.threads - 1) / (4 * l.threads)
-		if mergeEvery < 1 {
-			mergeEvery = 1
-		}
-	}
-	if l.repl == nil {
-		l.repl = make([][]float32, l.threads)
-		l.base = make([][]float32, l.threads)
-		for t := range l.repl {
-			l.repl[t] = make([]float32, len(shared))
-			l.base[t] = make([]float32, len(shared))
-		}
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for t := 0; t < l.threads; t++ {
-		wg.Add(1)
-		go func(repl, base []float32) {
-			defer wg.Done()
-			l.mu.Lock()
-			copy(repl, shared)
-			copy(base, shared)
-			l.mu.Unlock()
-			get := func(i int32) float32 { return repl[i] }
-			sinceMerge := 0
-			for {
-				b := int(atomic.AddInt64(&next, 1)) - 1
-				if b >= numBuckets {
-					break
-				}
-				lo := l.perm[b] * l.bucket
-				hi := lo + l.bucket
-				if hi > v.Num {
-					hi = v.Num
-				}
-				for c := lo; c < hi; c++ {
-					d := v.DeltaSigma(c, get, model[c], l.sigma)
-					model[c] += d
-					idx, val := v.CoordNZ(c)
-					for k := range idx {
-						repl[idx[k]] += sigma32 * val[k] * d
-					}
-				}
-				if sinceMerge++; sinceMerge >= mergeEvery {
-					l.mergeReplica(repl, base, shared)
-					sinceMerge = 0
-				}
-			}
-			if sinceMerge > 0 {
-				l.mergeReplica(repl, base, shared)
-			}
-		}(l.repl[t], l.base[t])
-	}
-	wg.Wait()
-}
-
-// mergeReplica folds the replica's delta since its base into the shared
-// vector and re-bases the replica on the merged state.
-func (l *CPULocal) mergeReplica(repl, base, shared []float32) {
-	l.mu.Lock()
-	for i, r := range repl {
-		if d := r - base[i]; d != 0 {
-			shared[i] += d
-		}
-	}
-	copy(repl, shared)
-	copy(base, shared)
-	l.mu.Unlock()
-}
-
 // EpochTimes returns the modeled CPU seconds per local epoch.
 func (l *CPULocal) EpochTimes() (float64, float64) {
-	return l.profile.EpochSeconds(l.view.NNZ(), int64(l.view.Num)), 0
+	nnz, coords := l.driver.EpochWork()
+	return l.profile.EpochSeconds(nnz, coords), 0
 }
 
 // NumCoords returns the number of local coordinates.
 func (l *CPULocal) NumCoords() int { return l.view.Num }
 
-// GPULocal runs TPA-SCD on a simulated GPU as the local solver, staging the
-// shared vector over PCIe each epoch exactly as the Fig. 7 architecture
-// describes (dataset resident on the device; shared-vector updates copied
-// device→host for the network aggregation, new shared vector copied back).
+// GPULocal runs the engine's TPA-SCD driver on a simulated GPU as the local
+// solver, staging the vectors over PCIe each epoch exactly as the Fig. 7
+// architecture describes (dataset resident on the device; shared-vector
+// updates copied device→host for the network aggregation, new shared
+// vector copied back).
 type GPULocal struct {
-	kernel *tpascd.Kernel
+	gpu *engine.GPU
 }
 
-// NewGPULocal wraps a TPA-SCD kernel as a distributed local solver.
-func NewGPULocal(kernel *tpascd.Kernel) *GPULocal {
-	return &GPULocal{kernel: kernel}
+// NewGPULocal places the partition on spec.Device and builds the tpa-scd
+// driver over it (spec.Name is ignored). It fails if the partition does
+// not fit the device's memory.
+func NewGPULocal(view *coords.View, spec engine.DriverSpec) (*GPULocal, error) {
+	spec.Name = engine.DriverGPU
+	s, err := engine.NewSolver(coords.NewLoss(view, 1), spec)
+	if err != nil {
+		return nil, err
+	}
+	return &GPULocal{gpu: s.(*engine.GPU)}, nil
 }
 
 // Epoch uploads the aggregated shared vector and current model, launches
 // one TPA-SCD epoch and downloads the results.
 func (l *GPULocal) Epoch(model, shared []float32) {
-	l.kernel.SetModel(model)
-	l.kernel.UploadShared(shared)
-	l.kernel.Epoch()
-	copy(model, l.kernel.Model())
-	l.kernel.DownloadShared(shared)
+	l.gpu.SetModel(model)
+	l.gpu.UploadShared(shared)
+	l.gpu.RunEpoch()
+	l.gpu.ReadModel(model)
+	l.gpu.DownloadShared(shared)
 }
 
 // EpochTimes returns the modeled kernel seconds and the PCIe seconds for
 // staging the shared vector on and off the device once each.
 func (l *GPULocal) EpochTimes() (float64, float64) {
-	bytes := int64(l.kernel.View().SharedLen) * 4
-	pcie := l.kernel.Device().TransferSeconds(bytes, true) * 2
-	return l.kernel.EpochSeconds(), pcie
+	bytes := int64(len(l.gpu.SharedVector())) * 4
+	pcie := l.gpu.Device().TransferSeconds(bytes, true) * 2
+	return l.gpu.EpochSeconds(), pcie
 }
 
 // NumCoords returns the number of local coordinates.
-func (l *GPULocal) NumCoords() int { return l.kernel.View().Num }
+func (l *GPULocal) NumCoords() int { return l.gpu.Loss().NumCoords() }
 
-// Close releases the kernel's device memory.
-func (l *GPULocal) Close() { l.kernel.Close() }
+// Close releases the driver's device memory.
+func (l *GPULocal) Close() { l.gpu.Close() }

@@ -116,6 +116,11 @@ func NewWorker(comm cluster.Comm, local Local, view *coords.View, cfg Config) (*
 	if err := view.Validate(); err != nil {
 		return nil, err
 	}
+	// σ′ is a property of the run, so it is applied here, where every
+	// construction path (groups, distworker, the facade) meets the Config.
+	if l, ok := local.(*CPULocal); ok {
+		l.SetSigma(cfg.SigmaPrime)
+	}
 	return &Worker{
 		comm:       comm,
 		local:      local,
@@ -183,16 +188,7 @@ func (w *Worker) ResumeFrom(model []float32, epoch int) error {
 	}
 	copy(w.model, model)
 	local := make([]float32, len(w.shared))
-	for c := 0; c < w.view.Num; c++ {
-		m := w.model[c]
-		if m == 0 {
-			continue
-		}
-		idx, val := w.view.CoordNZ(c)
-		for k := range idx {
-			local[idx[k]] += val[k] * m
-		}
-	}
+	w.view.MulModel(local, w.model)
 	if err := w.comm.Allreduce(local, w.shared); err != nil {
 		return err
 	}

@@ -145,6 +145,13 @@ func (s *Async) RunEpoch() {
 	}
 }
 
+// Bind points the solver at caller-owned state (see Sequential.Bind).
+func (s *Async) Bind(model, shared []float32) { s.model, s.shared = model, shared }
+
+// SkipEpochs burns n epochs' worth of permutation randomness (see
+// Sequential.SkipEpochs).
+func (s *Async) SkipEpochs(n int) { s.perm = skipPerms(s.rng, s.perm, s.loss.NumCoords(), n) }
+
 // RecomputeShared rebuilds the shared vector from the model, the repair
 // step proposed for A-SCD when drift accumulates.
 func (s *Async) RecomputeShared() {

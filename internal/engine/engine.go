@@ -9,7 +9,10 @@
 // the TPA-SCD kernel scaffold on the gpusim device), the permutation
 // streams, shared-vector maintenance and recomputation, per-epoch work
 // counters, and the instrumentation hooks that feed internal/trace; the
-// families supply a Loss.
+// families supply a Loss. Every coordinate-update loop in the repository
+// lives here: the drivers train state they own or, bound in place (Bind,
+// the GPU's staging calls), the model and shared vector of a distributed
+// worker, whose partition reaches them as a coords.Loss (see internal/dist).
 //
 // The same layering appears in SySCD (Ioannou et al., NeurIPS 2019) and
 // PASSCoDe (Hsieh et al., ICML 2015): the asynchronous and backend

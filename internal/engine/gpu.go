@@ -134,8 +134,29 @@ func (g *GPU) BlockSize() int { return g.blockSize }
 // Model returns a host copy of the device-resident model weights.
 func (g *GPU) Model() []float32 {
 	out := make([]float32, g.model.Len())
-	copy(out, g.model.Host())
+	g.ReadModel(out)
 	return out
+}
+
+// ReadModel copies the device-resident model weights into dst.
+func (g *GPU) ReadModel(dst []float32) { copy(dst, g.model.Host()) }
+
+// SetModel uploads model weights to the device. A distributed worker
+// calls it every round: the aggregation rescales the local model on the
+// host (see internal/dist).
+func (g *GPU) SetModel(m []float32) { copy(g.model.Host(), m) }
+
+// UploadShared copies a host shared vector to the device and returns the
+// modeled PCIe seconds (pinned staging, as in the paper's Fig. 7: only
+// the shared vector moves between epochs of a distributed run).
+func (g *GPU) UploadShared(src []float32) float64 {
+	return g.dev.CopyToDevice(g.shared, src, true)
+}
+
+// DownloadShared copies the device shared vector into dst and returns the
+// modeled PCIe seconds.
+func (g *GPU) DownloadShared(dst []float32) float64 {
+	return g.dev.CopyFromDevice(dst, g.shared, true)
 }
 
 // SharedVector returns the device shared vector (host view, no transfer

@@ -152,8 +152,57 @@ func TestGPUEpochWorkAndStats(t *testing.T) {
 	if stats.Blocks != int64(p.M) {
 		t.Fatalf("blocks = %d, want %d", stats.Blocks, p.M)
 	}
-	if stats.Elements == 0 || stats.Atomics == 0 {
-		t.Fatalf("kernel stats not accumulated: %+v", stats)
+	// Each coordinate's nnz is visited twice (dot product + write-back);
+	// one atomic per nnz in write-back plus one model Write per coordinate.
+	if stats.Elements != 2*nnz || stats.Atomics != nnz+coordsN {
+		t.Fatalf("kernel stats = %+v, want %d elements and %d atomics", stats, 2*nnz, nnz+coordsN)
+	}
+}
+
+// Only the shared vector crosses PCIe between the epochs of a distributed
+// run; the staging calls must account modeled time and move the data
+// intact.
+func TestGPUSharedStaging(t *testing.T) {
+	p := testProblem(t, 8, 100, 60, 5, 0.1)
+	s := newGPU(t, p, perfmodel.Dual, perfmodel.GPUM4000, 32, 1)
+	defer s.Close()
+	host := make([]float32, p.M)
+	for i := range host {
+		host[i] = float32(i)
+	}
+	up := s.UploadShared(host)
+	for i := range host {
+		host[i] = 0
+	}
+	down := s.DownloadShared(host)
+	if up <= 0 || down <= 0 {
+		t.Fatalf("PCIe times not positive: %v %v", up, down)
+	}
+	for i := range host {
+		if host[i] != float32(i) {
+			t.Fatalf("staging corrupted element %d", i)
+		}
+	}
+}
+
+func TestGPUSetModelRoundTrip(t *testing.T) {
+	p := testProblem(t, 11, 60, 30, 4, 0.1)
+	s := newGPU(t, p, perfmodel.Primal, perfmodel.GPUM4000, 32, 1)
+	defer s.Close()
+	m := make([]float32, p.M)
+	for i := range m {
+		m[i] = float32(i) * 0.5
+	}
+	s.SetModel(m)
+	got := make([]float32, p.M)
+	s.ReadModel(got)
+	for i := range m {
+		if got[i] != m[i] || s.Model()[i] != m[i] {
+			t.Fatalf("SetModel/ReadModel mismatch at %d", i)
+		}
+	}
+	if allocs := testing.AllocsPerRun(5, func() { s.ReadModel(got) }); allocs != 0 {
+		t.Fatalf("ReadModel allocates %v times", allocs)
 	}
 }
 

@@ -30,21 +30,48 @@ func NewSequential(l Loss, seed uint64) *Sequential {
 
 // RunEpoch performs one permuted pass over all coordinates.
 func (s *Sequential) RunEpoch() {
-	l := s.loss
-	s.perm = s.rng.Perm(l.NumCoords(), s.perm)
+	s.perm = s.rng.Perm(s.loss.NumCoords(), s.perm)
+	sequentialPass(s.loss, s.perm, s.model, s.shared)
+}
+
+// sequentialPass is the body of Algorithm 1: visit the coordinates in perm
+// order, take the loss's exact step against the current shared vector and
+// fold it back in. The sequential driver and the syscd driver at one
+// thread both run exactly this.
+func sequentialPass(l Loss, perm []int, model, shared []float32) {
 	residual, labels := l.Residual(), l.Labels()
-	for _, c := range s.perm {
-		d := l.Step(c, dotSlice(l, c, s.shared, residual, labels), s.model[c])
+	for _, c := range perm {
+		d := l.Step(c, dotSlice(l, c, shared, residual, labels), model[c])
 		if d == 0 {
 			continue
 		}
-		s.model[c] += d
+		model[c] += d
 		coeff := l.UpdateCoeff(c, d)
 		idx, val := l.CoordNZ(c)
 		for k := range idx {
-			s.shared[idx[k]] += val[k] * coeff
+			shared[idx[k]] += val[k] * coeff
 		}
 	}
+}
+
+// Bind points the solver at caller-owned state: from now on epochs read
+// and update model (length NumCoords) and shared (length SharedLen) in
+// place. This is how a distributed worker runs the driver as its local
+// solver over vectors it aggregates between rounds (see internal/dist).
+func (s *Sequential) Bind(model, shared []float32) { s.model, s.shared = model, shared }
+
+// SkipEpochs burns n epochs' worth of permutation randomness, aligning a
+// freshly constructed solver with one that already ran n epochs —
+// checkpoint resume continues with the permutations an uninterrupted run
+// would have drawn.
+func (s *Sequential) SkipEpochs(n int) { s.perm = skipPerms(s.rng, s.perm, s.loss.NumCoords(), n) }
+
+// skipPerms draws and discards n permutations of the given size.
+func skipPerms(r *rng.Xoshiro256, buf []int, size, n int) []int {
+	for ; n > 0; n-- {
+		buf = r.Perm(size, buf)
+	}
+	return buf
 }
 
 // SetModel overwrites the model (for warm starts, e.g. regularization

@@ -105,12 +105,14 @@ func (s *Syscd) NumBuckets() int { return (s.loss.NumCoords() + s.bucket - 1) / 
 // BucketSize returns the configured coordinates per bucket.
 func (s *Syscd) BucketSize() int { return s.bucket }
 
-// RunEpoch performs one pass over all coordinates: the permuted-coordinate
-// sequential pass at one thread, the bucket-dealt replica/merge scheme
-// otherwise.
+// RunEpoch performs one pass over all coordinates. With a single thread
+// there is no contention for bucketing or replicas to hide, so the driver
+// runs the sequential body — same permutation draws, same float operations
+// in the same order; otherwise the bucket-dealt replica/merge scheme.
 func (s *Syscd) RunEpoch() {
 	if s.threads == 1 {
-		s.runSequential()
+		s.perm = s.rng.Perm(s.loss.NumCoords(), s.perm)
+		sequentialPass(s.loss, s.perm, s.model, s.shared)
 	} else {
 		s.runBucketed()
 	}
@@ -120,26 +122,18 @@ func (s *Syscd) RunEpoch() {
 	}
 }
 
-// runSequential is Algorithm 1 exactly (cf. Sequential.RunEpoch): with a
-// single thread there is no contention for bucketing or replicas to hide,
-// so the driver degenerates to the sequential update — same permutation
-// draws, same float operations in the same order.
-func (s *Syscd) runSequential() {
-	l := s.loss
-	s.perm = s.rng.Perm(l.NumCoords(), s.perm)
-	residual, labels := l.Residual(), l.Labels()
-	for _, c := range s.perm {
-		d := l.Step(c, dotSlice(l, c, s.shared, residual, labels), s.model[c])
-		if d == 0 {
-			continue
-		}
-		s.model[c] += d
-		coeff := l.UpdateCoeff(c, d)
-		idx, val := l.CoordNZ(c)
-		for k := range idx {
-			s.shared[idx[k]] += val[k] * coeff
-		}
+// Bind points the solver at caller-owned state (see Sequential.Bind).
+func (s *Syscd) Bind(model, shared []float32) { s.model, s.shared = model, shared }
+
+// SkipEpochs burns n epochs' worth of permutation randomness (see
+// Sequential.SkipEpochs). Each epoch draws over the coordinates at one
+// thread and over the buckets otherwise, exactly as RunEpoch does.
+func (s *Syscd) SkipEpochs(n int) {
+	size := s.loss.NumCoords()
+	if s.threads > 1 {
+		size = s.NumBuckets()
 	}
+	s.perm = skipPerms(s.rng, s.perm, size, n)
 }
 
 // runBucketed deals the permuted bucket stream to the worker threads. Each

@@ -3,14 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"tpascd/internal/coords"
 	"tpascd/internal/dist"
 	"tpascd/internal/engine"
 	"tpascd/internal/gpusim"
 	"tpascd/internal/perfmodel"
 	"tpascd/internal/ridge"
 	"tpascd/internal/sgd"
-	"tpascd/internal/tpascd"
 	"tpascd/internal/trace"
 )
 
@@ -178,17 +176,22 @@ func AblationBlockSize(s Scale) ([]trace.Figure, error) {
 	series := trace.Series{Label: "epoch seconds"}
 	for _, bs := range []int{32, 64, 128, 256, 512} {
 		if err := func() error {
-			dev := gpusim.NewDevice(sc.gpu(perfmodel.GPUM4000))
-			kernel, err := tpascd.NewKernel(dev, coords.FromProblem(p, perfmodel.Dual), bs, s.Seed)
+			solver, err := engine.NewSolver(ridge.NewLoss(p, perfmodel.Dual), engine.DriverSpec{
+				Name:      engine.DriverGPU,
+				Device:    gpusim.NewDevice(sc.gpu(perfmodel.GPUM4000)),
+				BlockSize: bs,
+				Seed:      s.Seed,
+			})
 			if err != nil {
 				return err
 			}
-			defer kernel.Close()
+			gpu := solver.(*engine.GPU)
+			defer gpu.Close()
 			for e := 0; e < s.SingleDeviceEpochs/2; e++ {
-				kernel.Epoch()
+				gpu.RunEpoch()
 			}
-			gap := p.GapDual(kernel.Model())
-			series.Append(trace.Point{Epoch: bs, Seconds: kernel.EpochSeconds(), Gap: gap})
+			gap := gpu.Gap()
+			series.Append(trace.Point{Epoch: bs, Seconds: gpu.EpochSeconds(), Gap: gap})
 			fig.Remarks = append(fig.Remarks,
 				fmt.Sprintf("block size %d: gap %.3e after %d epochs", bs, gap, s.SingleDeviceEpochs/2))
 			return nil

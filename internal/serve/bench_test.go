@@ -12,8 +12,8 @@ import (
 
 // Serving-path benchmarks. When TPASCD_BENCH_JSON names a file, each
 // benchmark appends one JSON object per run (name, ops, ns/op, plus
-// batching stats), building a trajectory across runs that
-// results/bench.json snapshots for the repo.
+// batching stats), building a trajectory across runs (CI archives it;
+// the repo's committed performance ledger is bench/README.md).
 
 type benchRecord struct {
 	Name    string             `json:"name"`
