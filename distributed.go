@@ -160,9 +160,11 @@ func CooperativeShardFingerprint(comm Comm, kind string, dim int, slice []float3
 }
 
 // NewWorker builds one distributed rank from a communicator, a local
-// solver over its partition and the matching view.
-func NewWorker(comm Comm, local dist.Local, view *CoordinateView, cfg ClusterConfig) (*Worker, error) {
-	return dist.NewWorker(comm, local, view, cfg)
+// solver over its partition and the partition itself — a *CoordinateView
+// for ridge regression, an SVM partition (NewSVMPartition) for the hinge
+// dual — which supplies the family's optimal γ and duality gap.
+func NewWorker(comm Comm, local dist.Local, part dist.Family, cfg ClusterConfig) (*Worker, error) {
+	return dist.NewWorker(comm, local, part, cfg)
 }
 
 // NewSequentialLocal returns a single-threaded local solver over a
@@ -183,6 +185,14 @@ func NewSequentialLocal(view *CoordinateView, seed uint64) *dist.CPULocal {
 // permutation fast-forward checkpoint resume uses.
 func NewLocalSolver(view *CoordinateView, spec DriverSpec) (*dist.CPULocal, error) {
 	return dist.NewCPULocal(view, spec, perfmodel.CPUSequential)
+}
+
+// NewLocalSolverFor returns a local solver over any family's partition
+// loss (such as an SVM partition) for any driver registered with the
+// engine, for use with NewWorker. CPU drivers yield a *dist.CPULocal,
+// which additionally offers SkipEpochs.
+func NewLocalSolverFor(l Loss, spec DriverSpec) (dist.Local, error) {
+	return dist.NewLocal(l, spec, perfmodel.CPUSequential)
 }
 
 // Experiment harness re-exports.

@@ -28,19 +28,26 @@ func main() {
 	lambda := 0.001
 	parts := tpascd.PartitionRandom(len(y), k, 1)
 
-	for _, adaptive := range []bool{false, true} {
+	for _, agg := range []tpascd.Aggregation{tpascd.Averaging, tpascd.Adaptive} {
 		comms, err := tpascd.InProcComms(k)
 		if err != nil {
 			log.Fatal(err)
 		}
-		workers := make([]*tpascd.SVMDistWorker, k)
+		workers := make([]*tpascd.Worker, k)
 		for r := 0; r < k; r++ {
-			localA := a.SelectRows(parts[r])
 			localY := make([]float32, len(parts[r]))
 			for i, id := range parts[r] {
 				localY[i] = y[id]
 			}
-			w, err := tpascd.NewSVMDistWorker(comms[r], localA, localY, lambda, len(y), adaptive, uint64(r))
+			part, err := tpascd.NewSVMPartition(a.SelectRows(parts[r]), localY, lambda, len(y))
+			if err != nil {
+				log.Fatal(err)
+			}
+			local, err := tpascd.NewLocalSolverFor(part, tpascd.DriverSpec{Seed: uint64(r)})
+			if err != nil {
+				log.Fatal(err)
+			}
+			w, err := tpascd.NewWorker(comms[r], local, part, tpascd.ClusterConfig{Aggregation: agg})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -53,7 +60,7 @@ func main() {
 			go func(r int) {
 				defer wg.Done()
 				for e := 0; e < epochs; e++ {
-					if err := workers[r].RunEpoch(); err != nil {
+					if _, err := workers[r].RunEpoch(); err != nil {
 						log.Fatalf("rank %d: %v", r, err)
 					}
 				}
@@ -68,7 +75,7 @@ func main() {
 		}
 		wg.Wait()
 		mode := "averaging (γ=1/K)"
-		if adaptive {
+		if agg == tpascd.Adaptive {
 			mode = fmt.Sprintf("adaptive (settled γ=%.3f)", workers[0].Gamma())
 		}
 		fmt.Printf("K=%d SVM, %-30s duality gap %.4e after %d epochs\n", k, mode, gap, epochs)

@@ -153,12 +153,12 @@ func ElasticNetPath(p *Problem, alpha float64, nLambda int, lambdaMinRatio, tol 
 	return elasticnet.Path(p, alpha, nLambda, lambdaMinRatio, tol, maxEpochs, seed)
 }
 
-// SVMDistWorker is one rank of distributed SVM training (the original
-// CoCoA problem, paper reference [7]), over any Comm transport, with
-// averaging or box-feasible adaptive aggregation.
-type SVMDistWorker = svm.DistWorker
-
-// NewSVMDistWorker builds one rank over its partition of the examples.
-func NewSVMDistWorker(comm Comm, localA *CSR, localY []float32, lambda float64, nGlobal int, adaptive bool, seed uint64) (*SVMDistWorker, error) {
-	return svm.NewDistWorker(comm, localA, localY, lambda, nGlobal, adaptive, seed)
+// NewSVMPartition builds one rank's share of a distributed SVM problem
+// (the original CoCoA problem, paper reference [7]) from its rows of the
+// data and the global example count. The partition is both the Loss of the
+// rank's local solver (NewLocalSolverFor) and the third argument of
+// NewWorker, which then aggregates by averaging or by the box-feasible
+// adaptive γ of the SVM dual, as ClusterConfig.Aggregation says.
+func NewSVMPartition(localA *CSR, localY []float32, lambda float64, nGlobal int) (*svm.Partition, error) {
+	return svm.NewPartition(localA, localY, lambda, nGlobal)
 }

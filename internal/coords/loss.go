@@ -36,6 +36,12 @@ func NewLoss(v *View, sigma float64) *Loss {
 	return &Loss{v: v, nl: float64(v.NGlobal) * v.Lambda, sigma: sigma, sigma32: float32(sigma)}
 }
 
+// SetSigma rebuilds the loss in place at subproblem parameter sigma, so a
+// driver already built over it takes σ′-damped steps. dist.NewWorker calls
+// it with the run's Config.SigmaPrime; it must not be called once epochs
+// are running.
+func (l *Loss) SetSigma(sigma float64) { *l = *NewLoss(l.v, sigma) }
+
 // Name returns the algorithm tag.
 func (l *Loss) Name() string { return "SCD" }
 

@@ -15,80 +15,83 @@ import (
 //
 // The pass itself is not written here. The paper reuses Algorithms 1–2
 // unchanged as the CoCoA local solver, and so does this package: a local
-// is an engine driver, built by engine.NewSolver over the partition's
-// view-backed loss (coords.Loss, which carries the CoCoA+ σ′) and run in
-// place on the model and shared vector the Worker owns and aggregates
-// between rounds. Which driver runs is an engine.DriverSpec, so the
-// registry's names and aliases are the only vocabulary. What the two
-// adapters below add is what only a distributed round needs: handing back
-// the unscaled shared-vector delta of a σ′-damped pass, staging vectors
-// across PCIe for a device-resident driver, and the modeled epoch times
-// the Worker max-reduces. A partition has no duality gap of its own, so a
-// Local has no Gap; Worker.Gap evaluates it collectively.
+// is an engine driver, built by engine.NewSolver over the partition's loss
+// and run in place on the model and shared vector the Worker owns and
+// aggregates between rounds. Which driver runs is an engine.DriverSpec, so
+// the registry's names and aliases are the only vocabulary; which family
+// it optimizes is the loss (coords.Loss over a ridge view, which carries
+// the CoCoA+ σ′; an svm.Partition), so NewLocal serves them all. What the
+// two adapters below add is what only a distributed round needs: staging
+// vectors across PCIe for a device-resident driver, and the modeled epoch
+// times the Worker max-reduces. A partition has no duality gap of its own,
+// so a Local has no Gap; Worker.Gap evaluates it collectively.
 type Local interface {
 	// Epoch mutates model (length = number of local coordinates) and
-	// shared (global shared-vector length) in place.
+	// shared (global shared-vector length) in place. Under a σ′-damped
+	// loss shared ends at its start plus σ′ times the local update; the
+	// Worker unscales the delta it aggregates.
 	Epoch(model, shared []float32)
 	// EpochTimes returns the modeled per-epoch cost of this local solver:
 	// compute seconds and PCIe staging seconds (zero for CPU solvers).
 	EpochTimes() (compute, pcie float64)
-	// NumCoords returns the number of local coordinates.
-	NumCoords() int
+	// Loss returns the partition loss the driver runs. NewWorker sizes the
+	// rank's vectors from it and rebuilds it at the run's σ′.
+	Loss() engine.Loss
 }
 
 // hostDriver is what a CPU local calls on an engine driver: epochs on
-// borrowed state, a replayable permutation stream, and the work counts the
-// time model is fed. The host drivers (scd, a-scd, wild, syscd) qualify.
+// borrowed state, a replayable permutation stream, the work counts the
+// time model is fed, and the loss it was built over. The host drivers
+// (scd, a-scd, wild, syscd) qualify.
 type hostDriver interface {
 	Bind(model, shared []float32)
 	RunEpoch()
 	SkipEpochs(n int)
 	EpochWork() (nnz, coords int64)
+	Loss() engine.Loss
+}
+
+// NewLocal builds the local solver of any family's partition: the engine
+// driver spec names, over the partition's loss. spec.Name resolves through
+// the engine registry (empty = sequential) and unknown names are rejected
+// with the registry's vocabulary in the error; tpa-scd (with spec.Device)
+// yields a *GPULocal, a host driver a *CPULocal timed by profile.
+func NewLocal(loss engine.Loss, spec engine.DriverSpec, profile perfmodel.CPUProfile) (Local, error) {
+	// A partition's model cannot rebuild the global shared vector, and the
+	// round's aggregation re-bases it anyway.
+	spec.RecomputeEvery = 0
+	s, err := engine.NewSolver(loss, spec)
+	if err != nil {
+		return nil, err
+	}
+	switch d := s.(type) {
+	case *engine.GPU:
+		return &GPULocal{gpu: d}, nil
+	case hostDriver:
+		return &CPULocal{driver: d, profile: profile}, nil
+	}
+	return nil, fmt.Errorf("dist: %s cannot run in place as a local", s.Name())
 }
 
 // CPULocal runs an engine host driver as the local solver of a partition.
 type CPULocal struct {
 	driver  hostDriver
-	view    *coords.View
-	loss    *coords.Loss // the driver's loss; SetSigma replaces its contents
 	profile perfmodel.CPUProfile
-	sigma   float64 // CoCoA+ subproblem-safety σ′ (1 = exact steps)
-	scratch []float32
 }
 
-// NewCPULocal builds a CPU local solver for a registered engine driver.
-// spec.Name resolves through the engine registry (empty = sequential);
-// unknown names are rejected with the registry's vocabulary in the error,
-// and so are drivers that cannot run in place on host vectors (tpa-scd,
-// whose local is GPULocal).
+// NewCPULocal builds a CPU local solver over a ridge view for a registered
+// engine driver. Drivers that cannot run in place on host vectors (tpa-scd,
+// whose local is GPULocal) are rejected.
 func NewCPULocal(view *coords.View, spec engine.DriverSpec, profile perfmodel.CPUProfile) (*CPULocal, error) {
-	// A partition's model cannot rebuild the global shared vector, and the
-	// round's aggregation re-bases it anyway.
-	spec.RecomputeEvery = 0
-	loss := coords.NewLoss(view, 1)
-	s, err := engine.NewSolver(loss, spec)
+	l, err := NewLocal(coords.NewLoss(view, 1), spec, profile)
 	if err != nil {
 		return nil, err
 	}
-	driver, ok := s.(hostDriver)
-	if !ok {
-		if c, ok := s.(interface{ Close() }); ok {
-			c.Close()
-		}
-		return nil, fmt.Errorf("dist: %s cannot run in place as a CPU local", s.Name())
+	if g, ok := l.(*GPULocal); ok {
+		g.Close()
+		return nil, fmt.Errorf("dist: %s cannot run in place as a CPU local", g.gpu.Name())
 	}
-	return &CPULocal{driver: driver, view: view, loss: loss, profile: profile, sigma: 1}, nil
-}
-
-// SetSigma sets the CoCoA+ σ′ damping of the local steps (values < 1 are
-// clamped to 1). NewWorker calls it with Config.SigmaPrime; it must not be
-// called once epochs are running.
-func (l *CPULocal) SetSigma(sigma float64) {
-	if sigma < 1 {
-		sigma = 1
-	}
-	l.sigma = sigma
-	*l.loss = *coords.NewLoss(l.view, sigma)
+	return l.(*CPULocal), nil
 }
 
 // SkipEpochs burns n epochs' worth of the driver's permutation randomness,
@@ -100,29 +103,9 @@ func (l *CPULocal) SkipEpochs(n int) { l.driver.SkipEpochs(n) }
 
 // Epoch performs one permuted pass of the driver over the local
 // coordinates, in place.
-//
-// With σ′ > 1 the pass solves the CoCoA+ local subproblem: the working
-// shared vector carries the local updates scaled by σ′ (the subproblem's
-// quadratic term is σ′/(2N)·‖A_kΔβ_k‖²), and the unscaled delta is handed
-// back at the end so the Worker aggregates true A_kΔβ_k contributions.
 func (l *CPULocal) Epoch(model, shared []float32) {
-	damped := l.sigma > 1
-	if damped {
-		if cap(l.scratch) < len(shared) {
-			l.scratch = make([]float32, len(shared))
-		}
-		copy(l.scratch[:len(shared)], shared)
-	}
 	l.driver.Bind(model, shared)
 	l.driver.RunEpoch()
-	if damped {
-		// shared currently holds w + σ′·A_kΔβ_k; rescale to w + A_kΔβ_k.
-		sigma32 := float32(l.sigma)
-		prev := l.scratch[:len(shared)]
-		for i := range shared {
-			shared[i] = prev[i] + (shared[i]-prev[i])/sigma32
-		}
-	}
 }
 
 // EpochTimes returns the modeled CPU seconds per local epoch.
@@ -131,8 +114,8 @@ func (l *CPULocal) EpochTimes() (float64, float64) {
 	return l.profile.EpochSeconds(nnz, coords), 0
 }
 
-// NumCoords returns the number of local coordinates.
-func (l *CPULocal) NumCoords() int { return l.view.Num }
+// Loss returns the partition loss the driver runs.
+func (l *CPULocal) Loss() engine.Loss { return l.driver.Loss() }
 
 // GPULocal runs the engine's TPA-SCD driver on a simulated GPU as the local
 // solver, staging the vectors over PCIe each epoch exactly as the Fig. 7
@@ -143,16 +126,16 @@ type GPULocal struct {
 	gpu *engine.GPU
 }
 
-// NewGPULocal places the partition on spec.Device and builds the tpa-scd
+// NewGPULocal places a ridge view on spec.Device and builds the tpa-scd
 // driver over it (spec.Name is ignored). It fails if the partition does
 // not fit the device's memory.
 func NewGPULocal(view *coords.View, spec engine.DriverSpec) (*GPULocal, error) {
 	spec.Name = engine.DriverGPU
-	s, err := engine.NewSolver(coords.NewLoss(view, 1), spec)
+	l, err := NewLocal(coords.NewLoss(view, 1), spec, perfmodel.CPUProfile{})
 	if err != nil {
 		return nil, err
 	}
-	return &GPULocal{gpu: s.(*engine.GPU)}, nil
+	return l.(*GPULocal), nil
 }
 
 // Epoch uploads the aggregated shared vector and current model, launches
@@ -173,8 +156,8 @@ func (l *GPULocal) EpochTimes() (float64, float64) {
 	return l.gpu.EpochSeconds(), pcie
 }
 
-// NumCoords returns the number of local coordinates.
-func (l *GPULocal) NumCoords() int { return l.gpu.Loss().NumCoords() }
+// Loss returns the partition loss the kernel runs.
+func (l *GPULocal) Loss() engine.Loss { return l.gpu.Loss() }
 
 // Close releases the driver's device memory.
 func (l *GPULocal) Close() { l.gpu.Close() }

@@ -103,3 +103,34 @@ func TestCPULocalRejectsDeviceDriverWithoutLeak(t *testing.T) {
 		t.Fatalf("rejected device driver leaked %d bytes", got)
 	}
 }
+
+// Config.SigmaPrime reaches device locals too: damped steps divide by
+// σ′‖a_c‖² + Nλ, so a CoCoA+ GPU group's first-round model step is several
+// times shorter than the undamped one. A norm ratio, not bits — the
+// simulator's thread blocks race.
+func TestSigmaPrimeAppliesToGPUGroup(t *testing.T) {
+	p := testProblem(t, 17, 150, 90, 6, 0.01)
+	firstStep := func(sigma float64) float64 {
+		t.Helper()
+		cfg := Config{Aggregation: Adding, SigmaPrime: sigma, Link: perfmodel.Link10GbE}
+		g, err := NewGPUGroup(p, perfmodel.Primal, 2, perfmodel.GPUM4000, 32, cfg, 53)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer g.Close()
+		if _, err := g.RunEpoch(); err != nil {
+			t.Fatal(err)
+		}
+		var sq float64
+		for _, w := range g.Workers {
+			for _, b := range w.Model() {
+				sq += float64(b) * float64(b)
+			}
+		}
+		return math.Sqrt(sq)
+	}
+	undamped, damped := firstStep(1), firstStep(8)
+	if damped > 0.5*undamped {
+		t.Fatalf("first-round step norm %v under σ′ = 8, %v under σ′ = 1: SigmaPrime not applied", damped, undamped)
+	}
+}

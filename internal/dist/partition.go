@@ -1,16 +1,19 @@
 // Package dist implements the distributed stochastic learning algorithms of
 // Sections IV and V of the paper: synchronous distributed SCD (Algorithm 3,
-// a CoCoA-style scheme with σ=1 specialised to ridge regression) and
-// distributed SCD with adaptive aggregation (Algorithm 4, the paper's novel
-// contribution), over pluggable local solvers — sequential SCD, the
-// multi-threaded CPU variants, or TPA-SCD running on a simulated GPU.
+// a CoCoA-style scheme with σ=1) and distributed SCD with adaptive
+// aggregation (Algorithm 4, the paper's novel contribution), over pluggable
+// local solvers — sequential SCD, the multi-threaded CPU variants, or
+// TPA-SCD running on a simulated GPU.
 //
 // The training data is partitioned by feature when solving the primal form
 // and by training example when solving the dual form. Every epoch each
 // worker runs one local pass over its coordinates, the shared-vector deltas
 // are reduced on a master, scaled by the aggregation parameter γ (1/K for
 // averaging; the closed-form optimum for adaptive aggregation), and the new
-// shared vector is broadcast back.
+// shared vector is broadcast back. That round is written once (Worker); the
+// loss family — ridge regression as in the paper, or the SVM dual CoCoA was
+// built for — enters through its partition's loss (Local) and its γ* and
+// duality gap (Family).
 package dist
 
 import (

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"tpascd/internal/cluster"
-	"tpascd/internal/coords"
 	"tpascd/internal/obs"
 	"tpascd/internal/perfmodel"
 )
@@ -56,10 +55,10 @@ type Config struct {
 	// HostFlopsPerSec, when non-zero, overrides the host vector-arithmetic
 	// rate used for the HostComp part of the time breakdown.
 	HostFlopsPerSec float64
-	// SigmaPrime is the CoCoA+ subproblem-safety parameter σ′ applied by
-	// CPU local solvers (< 1 is treated as 1, the paper's CoCoA-σ=1
-	// configuration). σ′ = K with Adding aggregation is the CoCoA+
-	// configuration of Ma et al.
+	// SigmaPrime is the CoCoA+ subproblem-safety parameter σ′ of the local
+	// solvers (< 1 is treated as 1, the paper's CoCoA-σ=1 configuration).
+	// σ′ = K with Adding aggregation is the CoCoA+ configuration of Ma et
+	// al.
 	SigmaPrime float64
 	// WrapComm, when non-nil, wraps each rank's communicator before its
 	// worker is built — the seam for transport middleware, above all
@@ -82,13 +81,44 @@ func (c Config) hostVectorOpSeconds(elements, passes int) float64 {
 	return float64(elements) * float64(passes) / rate
 }
 
+// Family is the loss-specific algebra of a CoCoA round, implemented by a
+// loss family's partition type: *coords.View for ridge regression (either
+// form), *svm.Partition for the hinge dual. The round itself is the
+// Worker's and the same for every family; what differs is the closed-form
+// γ* of the family's objective and its duality gap. Both are collective,
+// and both are split here at their one scalar Allreduce: the Terms method
+// returns what this rank contributes (ranks own disjoint coordinates, so
+// global values are plain sums), the FromSums method finishes from the sums
+// and the shared-side vectors every rank holds identically. A minimum
+// across ranks (the SVM box bound) travels in per-rank slots of the summed
+// vector, so no transport needs another collective.
+type Family interface {
+	// Dims returns the partition's coordinate count and the length of the
+	// global shared vector.
+	Dims() (coords, shared int)
+	// Validate checks the partition's structural invariants.
+	Validate() error
+	// GammaTerms returns this rank's summands for the optimal aggregation
+	// parameter, from the local model before and after the local epoch.
+	GammaTerms(rank, size int, model, prevModel []float32) []float64
+	// GammaFromSums returns γ* from the summed terms, the shared vector
+	// before the round and the summed shared-vector delta.
+	GammaFromSums(sums []float64, prevShared, deltaSum []float32) float64
+	// GapTerms returns this rank's summands of the duality gap.
+	GapTerms(model, shared []float32) []float64
+	// GapFromSums returns the duality gap from the summed terms and the
+	// shared vector.
+	GapFromSums(sums []float64, shared []float32) float64
+}
+
 // Worker executes one rank of the synchronous distributed SCD algorithms.
 // All ranks must call RunEpoch collectively, like an MPI program.
 type Worker struct {
-	comm  cluster.Comm
-	local Local
-	view  *coords.View
-	cfg   Config
+	comm   cluster.Comm
+	local  Local
+	family Family
+	cfg    Config
+	sigma  float32 // CoCoA+ σ′ the local's working shared vector is scaled by
 
 	model  []float32 // local coordinates
 	shared []float32 // global shared vector (consistent across ranks)
@@ -107,30 +137,38 @@ type Worker struct {
 	commDur time.Duration
 }
 
-// NewWorker builds one rank. view must be the same partition the local
-// solver was built over.
-func NewWorker(comm cluster.Comm, local Local, view *coords.View, cfg Config) (*Worker, error) {
-	if local.NumCoords() != view.Num {
-		return nil, fmt.Errorf("dist: local solver has %d coordinates, view has %d", local.NumCoords(), view.Num)
+// NewWorker builds one rank. family must be the partition the local solver
+// was built over. σ′ is a property of the run, so it is applied here, where
+// every construction path (groups, distworker, the facade) meets the
+// Config: the local's loss is rebuilt for the σ′-damped subproblem, or the
+// run rejected if the family has no damped step.
+func NewWorker(comm cluster.Comm, local Local, family Family, cfg Config) (*Worker, error) {
+	loss := local.Loss()
+	num, sharedLen := family.Dims()
+	if loss.NumCoords() != num || loss.SharedLen() != sharedLen {
+		return nil, fmt.Errorf("dist: local solver is %d coordinates × %d shared, partition %d × %d",
+			loss.NumCoords(), loss.SharedLen(), num, sharedLen)
 	}
-	if err := view.Validate(); err != nil {
+	if err := family.Validate(); err != nil {
 		return nil, err
 	}
-	// σ′ is a property of the run, so it is applied here, where every
-	// construction path (groups, distworker, the facade) meets the Config.
-	if l, ok := local.(*CPULocal); ok {
-		l.SetSigma(cfg.SigmaPrime)
+	sigma := math.Max(cfg.SigmaPrime, 1)
+	if d, ok := loss.(interface{ SetSigma(float64) }); ok {
+		d.SetSigma(sigma)
+	} else if sigma > 1 {
+		return nil, fmt.Errorf("dist: the %s loss has no σ′-damped step (SigmaPrime %g)", loss.Name(), sigma)
 	}
 	return &Worker{
 		comm:       comm,
 		local:      local,
-		view:       view,
+		family:     family,
 		cfg:        cfg,
-		model:      make([]float32, view.Num),
-		shared:     make([]float32, view.SharedLen),
-		prevModel:  make([]float32, view.Num),
-		prevShared: make([]float32, view.SharedLen),
-		deltaSum:   make([]float32, view.SharedLen),
+		sigma:      float32(sigma),
+		model:      make([]float32, num),
+		shared:     make([]float32, sharedLen),
+		prevModel:  make([]float32, num),
+		prevShared: make([]float32, sharedLen),
+		deltaSum:   make([]float32, sharedLen),
 		gamma:      1,
 	}, nil
 }
@@ -164,8 +202,8 @@ func (w *Worker) Snapshot() ([]float32, int) {
 // partition's model and the same epoch before any RunEpoch. Ranks first
 // agree they are resuming from the same round (mismatched checkpoints are
 // an error, not silent divergence), then rebuild the global shared vector
-// by summing each rank's local contribution — for either form that is
-// Σ_c model[c]·a_c over the rank's coordinates, Allreduced across ranks.
+// by summing each rank's local contribution — what the partition's loss
+// rebuilds from the rank's coordinates alone — Allreduced across ranks.
 func (w *Worker) ResumeFrom(model []float32, epoch int) error {
 	if len(model) != len(w.model) {
 		return fmt.Errorf("dist: resume model has %d coordinates, partition has %d", len(model), len(w.model))
@@ -188,7 +226,7 @@ func (w *Worker) ResumeFrom(model []float32, epoch int) error {
 	}
 	copy(w.model, model)
 	local := make([]float32, len(w.shared))
-	w.view.MulModel(local, w.model)
+	w.local.Loss().RecomputeShared(local, w.model)
 	if err := w.comm.Allreduce(local, w.shared); err != nil {
 		return err
 	}
@@ -211,10 +249,12 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 	w.local.Epoch(w.model, w.shared)
 	computeDur := time.Since(computeStart)
 
-	// Local deltas (reuse shared as the send buffer via deltaSum scratch).
-	delta := w.shared // alias: shared currently holds prevShared + local updates
+	// Local deltas (shared doubles as the send buffer). A σ′-damped pass
+	// leaves prevShared + σ′·A_kΔβ_k behind; the aggregation sums the true
+	// A_kΔβ_k contributions. At σ′ = 1 the division is exact.
+	delta := w.shared
 	for i := range delta {
-		delta[i] -= w.prevShared[i]
+		delta[i] = (delta[i] - w.prevShared[i]) / w.sigma
 	}
 
 	// Reduce + broadcast so every rank holds the summed delta.
@@ -233,11 +273,16 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 	var scalarPayload int64
 	switch w.cfg.Aggregation {
 	case Adaptive:
-		var err error
-		gamma, scalarPayload, err = w.adaptiveGamma()
+		// The paper's "few extra scalars per epoch": the ranks' summands
+		// are summed, and every rank finishes γ* from the sums and the
+		// shared-side vectors it already holds.
+		terms := w.family.GammaTerms(w.comm.Rank(), K, w.model, w.prevModel)
+		sums, err := w.timedAllreduceScalars(terms)
 		if err != nil {
 			return bd, err
 		}
+		gamma = w.family.GammaFromSums(sums, w.prevShared, w.deltaSum)
+		scalarPayload = int64(len(terms)) * 8
 	case Adding:
 		gamma = 1
 	}
@@ -265,12 +310,12 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 		bd.HostComp = maxes[0] // CPU local solver
 	}
 	bd.PCIe = maxes[1]
-	sharedBytes := int64(w.view.SharedLen) * 4
+	sharedBytes := int64(len(w.shared)) * 4
 	bd.Network = w.cfg.Link.ReduceSeconds(K, sharedBytes) + w.cfg.Link.BroadcastSeconds(K, sharedBytes)
 	if scalarPayload > 0 {
 		bd.Network += w.cfg.Link.ReduceSeconds(K, scalarPayload) + w.cfg.Link.BroadcastSeconds(K, scalarPayload)
 	}
-	bd.HostComp += w.cfg.hostVectorOpSeconds(w.view.SharedLen, 4)
+	bd.HostComp += w.cfg.hostVectorOpSeconds(len(w.shared), 4)
 	w.epoch++
 	w.cfg.Trace.Emit("dist.round", start, time.Since(start),
 		obs.F("rank", float64(w.comm.Rank())),
@@ -281,69 +326,6 @@ func (w *Worker) RunEpoch() (perfmodel.Breakdown, error) {
 		obs.F("comm_s", w.commDur.Seconds()),
 	)
 	return bd, nil
-}
-
-// adaptiveGamma computes the closed-form optimal aggregation parameter.
-//
-// Primal (eq. 7, with the residual written out; see DESIGN.md):
-//
-//	γ* = −(⟨w−y, Δw⟩ + Nλ⟨β, Δβ⟩) / (‖Δw‖² + Nλ‖Δβ‖²)
-//
-// Dual (with the ‖Δα‖² denominator obtained by differentiating D):
-//
-//	γ̄* = (⟨Δα, y⟩ − N⟨α, Δα⟩ − (1/λ)⟨w̄, Δw̄⟩) / ((1/λ)‖Δw̄‖² + N‖Δα‖²)
-//
-// The model-side inner products are computed distributedly: workers own
-// disjoint coordinates, so the global values are plain sums (the paper's
-// observation that makes the extra communication a few scalars per epoch).
-func (w *Worker) adaptiveGamma() (float64, int64, error) {
-	v := w.view
-	N := float64(v.NGlobal)
-	lambda := v.Lambda
-
-	// Local model-side scalars.
-	var mDot, mNormSq, mY float64
-	for j := range w.model {
-		d := float64(w.model[j]) - float64(w.prevModel[j])
-		mDot += float64(w.prevModel[j]) * d
-		mNormSq += d * d
-		if v.Form == perfmodel.Dual {
-			mY += d * float64(v.YCoord[j])
-		}
-	}
-	sums, err := w.timedAllreduceScalars([]float64{mDot, mNormSq, mY})
-	if err != nil {
-		return 0, 0, err
-	}
-	payload := int64(3 * 8)
-	mDot, mNormSq, mY = sums[0], sums[1], sums[2]
-
-	// Shared-side scalars from globally identical vectors.
-	var sDot, sNormSq float64
-	if v.Form == perfmodel.Primal {
-		for i := range w.deltaSum {
-			d := float64(w.deltaSum[i])
-			sDot += (float64(w.prevShared[i]) - float64(v.YShared[i])) * d
-			sNormSq += d * d
-		}
-		num := -(sDot + N*lambda*mDot)
-		den := sNormSq + N*lambda*mNormSq
-		if den <= 0 || math.IsNaN(num/den) {
-			return 1, payload, nil
-		}
-		return num / den, payload, nil
-	}
-	for i := range w.deltaSum {
-		d := float64(w.deltaSum[i])
-		sDot += float64(w.prevShared[i]) * d
-		sNormSq += d * d
-	}
-	num := mY - N*mDot - sDot/lambda
-	den := sNormSq/lambda + N*mNormSq
-	if den <= 0 || math.IsNaN(num/den) {
-		return 1, payload, nil
-	}
-	return num / den, payload, nil
 }
 
 // timedAllreduceScalars runs the collective and charges its wall-clock
@@ -390,90 +372,16 @@ func (w *Worker) allreduceMax(vals []float64) ([]float64, error) {
 func (w *Worker) Gap() (float64, error) {
 	start := time.Now()
 	w.commDur = 0
-	gap, err := w.computeGap()
-	if err == nil {
-		w.cfg.Trace.Emit("dist.gap", start, time.Since(start),
-			obs.F("rank", float64(w.comm.Rank())),
-			obs.F("epoch", float64(w.epoch)),
-			obs.F("gap", gap),
-			obs.F("comm_s", w.commDur.Seconds()),
-		)
-	}
-	return gap, err
-}
-
-func (w *Worker) computeGap() (float64, error) {
-	v := w.view
-	N := float64(v.NGlobal)
-	lambda := v.Lambda
-	if v.Form == perfmodel.Primal {
-		// P(β) = ‖w−y‖²/(2N) + λ/2·Σ_k‖β_k‖²
-		// α̂ = (y−w)/N (global), D(α̂) needs ‖Aᵀα̂‖² = Σ_k Σ_{j∈S_k}⟨a_j,α̂⟩².
-		var betaSq float64
-		for _, b := range w.model {
-			betaSq += float64(b) * float64(b)
-		}
-		alphaHat := make([]float32, v.SharedLen)
-		for i := range alphaHat {
-			alphaHat[i] = (v.YShared[i] - w.shared[i]) / float32(N)
-		}
-		var atASq float64
-		for c := 0; c < v.Num; c++ {
-			idx, val := v.CoordNZ(c)
-			var dp float64
-			for k := range idx {
-				dp += float64(val[k]) * float64(alphaHat[idx[k]])
-			}
-			atASq += dp * dp
-		}
-		sums, err := w.timedAllreduceScalars([]float64{betaSq, atASq})
-		if err != nil {
-			return 0, err
-		}
-		betaSq, atASq = sums[0], sums[1]
-		var residSq, alphaSq, alphaY float64
-		for i := range w.shared {
-			r := float64(w.shared[i]) - float64(v.YShared[i])
-			residSq += r * r
-			a := float64(alphaHat[i])
-			alphaSq += a * a
-			alphaY += a * float64(v.YShared[i])
-		}
-		p := residSq/(2*N) + lambda/2*betaSq
-		d := -N/2*alphaSq - atASq/(2*lambda) + alphaY
-		return math.Abs(p - d), nil
-	}
-	// Dual: D(α) = −N/2·Σ‖α_k‖² − ‖w̄‖²/(2λ) + Σ⟨α_k,y_k⟩ ;
-	// β̂ = w̄/λ (global), P(β̂) needs Σ_k Σ_{i∈rows_k}(⟨ā_i,β̂⟩−y_i)².
-	var alphaSq, alphaY, residSq, betaHatSq float64
-	betaHat := make([]float32, v.SharedLen)
-	invLambda := 1 / float32(lambda)
-	for j := range betaHat {
-		betaHat[j] = w.shared[j] * invLambda
-		betaHatSq += float64(betaHat[j]) * float64(betaHat[j])
-	}
-	for c := 0; c < v.Num; c++ {
-		a := float64(w.model[c])
-		alphaSq += a * a
-		alphaY += a * float64(v.YCoord[c])
-		idx, val := v.CoordNZ(c)
-		var dp float64
-		for k := range idx {
-			dp += float64(val[k]) * float64(betaHat[idx[k]])
-		}
-		r := dp - float64(v.YCoord[c])
-		residSq += r * r
-	}
-	sums, err := w.timedAllreduceScalars([]float64{alphaSq, alphaY, residSq})
+	sums, err := w.timedAllreduceScalars(w.family.GapTerms(w.model, w.shared))
 	if err != nil {
 		return 0, err
 	}
-	alphaSq, alphaY, residSq = sums[0], sums[1], sums[2]
-	var wbarSq float64
-	for _, x := range w.shared {
-		wbarSq += float64(x) * float64(x)
-	}
-	d := -N/2*alphaSq - wbarSq/(2*lambda) + alphaY
-	p := residSq/(2*N) + lambda/2*betaHatSq
-	return math.Abs(p - d), nil
+	gap := w.family.GapFromSums(sums, w.shared)
+	w.cfg.Trace.Emit("dist.gap", start, time.Since(start),
+		obs.F("rank", float64(w.comm.Rank())),
+		obs.F("epoch", float64(w.epoch)),
+		obs.F("gap", gap),
+		obs.F("comm_s", w.commDur.Seconds()),
+	)
+	return gap, nil
 }

@@ -303,7 +303,6 @@ func BenchmarkSequentialEpochPrimal(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunEpoch()
 	}
-	emitBench(b, "SequentialEpochPrimal", nil)
 }
 
 func BenchmarkAtomicEpochPrimal8(b *testing.B) {
@@ -313,7 +312,6 @@ func BenchmarkAtomicEpochPrimal8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunEpoch()
 	}
-	emitBench(b, "AtomicEpochPrimal8", nil)
 }
 
 func BenchmarkWildEpochPrimal8(b *testing.B) {
@@ -323,7 +321,6 @@ func BenchmarkWildEpochPrimal8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunEpoch()
 	}
-	emitBench(b, "WildEpochPrimal8", nil)
 }
 
 // Periodic shared-vector recomputation (the repair scheme of Tran et al.,

@@ -214,5 +214,4 @@ func BenchmarkGPUEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunEpoch()
 	}
-	emitBench(b, "GPUEpoch", nil)
 }

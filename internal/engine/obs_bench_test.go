@@ -72,7 +72,6 @@ func BenchmarkEpochInstrumentation(b *testing.B) {
 				s.RunEpoch()
 				bc.hook(ev)
 			}
-			emitBench(b, "EpochInstrumentation/"+bc.name, nil)
 		})
 	}
 }

@@ -172,7 +172,6 @@ func BenchmarkSyscdEpochPrimal8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunEpoch()
 	}
-	emitBench(b, "SyscdEpochPrimal8", map[string]float64{"bucket": float64(s.BucketSize())})
 }
 
 func BenchmarkSyscdEpochDual8(b *testing.B) {
@@ -182,7 +181,6 @@ func BenchmarkSyscdEpochDual8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunEpoch()
 	}
-	emitBench(b, "SyscdEpochDual8", map[string]float64{"bucket": float64(s.BucketSize())})
 }
 
 func BenchmarkAtomicEpochDual8(b *testing.B) {
@@ -192,5 +190,4 @@ func BenchmarkAtomicEpochDual8(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunEpoch()
 	}
-	emitBench(b, "AtomicEpochDual8", nil)
 }

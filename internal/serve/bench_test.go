@@ -2,48 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"testing"
 	"time"
 
 	"tpascd/internal/obs"
 )
-
-// Serving-path benchmarks. When TPASCD_BENCH_JSON names a file, each
-// benchmark appends one JSON object per run (name, ops, ns/op, plus
-// batching stats), building a trajectory across runs (CI archives it;
-// the repo's committed performance ledger is bench/README.md).
-
-type benchRecord struct {
-	Name    string             `json:"name"`
-	Ops     int                `json:"ops"`
-	NsPerOp float64            `json:"ns_per_op"`
-	Extra   map[string]float64 `json:"extra,omitempty"`
-}
-
-func emitBench(b *testing.B, name string, extra map[string]float64) {
-	b.Helper()
-	path := os.Getenv("TPASCD_BENCH_JSON")
-	if path == "" {
-		return
-	}
-	rec := benchRecord{
-		Name:    name,
-		Ops:     b.N,
-		NsPerOp: float64(b.Elapsed().Nanoseconds()) / float64(b.N),
-		Extra:   extra,
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		b.Fatalf("bench json: %v", err)
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	if err := enc.Encode(rec); err != nil {
-		b.Fatalf("bench json: %v", err)
-	}
-}
 
 func benchSetup(b *testing.B, dim int) (*Registry, [][]int32, [][]float32) {
 	b.Helper()
@@ -74,7 +37,6 @@ func BenchmarkPredict(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	emitBench(b, "Predict", nil)
 }
 
 // BenchmarkPredictBatched measures the same path under concurrent
@@ -103,8 +65,4 @@ func BenchmarkPredictBatched(b *testing.B) {
 	b.StopTimer()
 	s := met.Snapshot(reg)
 	b.ReportMetric(s.AvgBatch, "rows/batch")
-	emitBench(b, "PredictBatched", map[string]float64{
-		"avg_batch": s.AvgBatch,
-		"batches":   float64(s.Batches),
-	})
 }

@@ -46,6 +46,10 @@ type Problem struct {
 	N, M int
 
 	rowNormsSq []float64
+	// nGlobal is the N of the update rules and of the 1/(λN) shared-vector
+	// scale: N itself for a whole problem, the example count across all
+	// ranks when the rows are one rank's Partition.
+	nGlobal int
 }
 
 // NewProblem validates and wraps the training data.
@@ -71,6 +75,7 @@ func NewProblem(a *sparse.CSR, y []float32, lambda float64) (*Problem, error) {
 		N:          a.NumRows,
 		M:          a.NumCols,
 		rowNormsSq: a.RowNormsSq(),
+		nGlobal:    a.NumRows,
 	}, nil
 }
 
@@ -131,7 +136,7 @@ func (p *Problem) sharedFromAlphaInto(w, alpha []float32) {
 	for i := range w {
 		w[i] = 0
 	}
-	scale := 1 / (p.Lambda * float64(p.N))
+	scale := p.sharedScale()
 	for i := 0; i < p.N; i++ {
 		if alpha[i] == 0 {
 			continue
@@ -150,7 +155,7 @@ func (p *Problem) stepFromDot(i int, dp float64, alphaI float32) float32 {
 	if p.rowNormsSq[i] == 0 {
 		return 0
 	}
-	grad := (1 - float64(p.Y[i])*dp) * p.Lambda * float64(p.N) / p.rowNormsSq[i]
+	grad := (1 - float64(p.Y[i])*dp) * p.Lambda * float64(p.nGlobal) / p.rowNormsSq[i]
 	next := float64(alphaI) + grad
 	if next < 0 {
 		next = 0
@@ -190,7 +195,7 @@ func (p *Problem) AccuracyW(w []float32) float64 {
 
 // sharedScale is the coefficient 1/(λN) relating dual steps to the
 // maintained primal vector.
-func (p *Problem) sharedScale() float64 { return 1 / (p.Lambda * float64(p.N)) }
+func (p *Problem) sharedScale() float64 { return 1 / (p.Lambda * float64(p.nGlobal)) }
 
 // Sequential is single-threaded SDCA (Algorithm 1 of the paper with the
 // hinge-loss update), running on the shared engine.
