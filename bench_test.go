@@ -143,7 +143,7 @@ func benchGuardProblem(b testing.TB) *ridge.Problem {
 func directPrimalEpoch(p *ridge.Problem, model, shared []float32, perm []int) {
 	nl := float64(p.N) * p.Lambda
 	for _, c := range perm {
-		idx, val := p.ACols.Col(c)
+		idx, val := p.ACols().Col(c)
 		var dp float64
 		for k := range idx {
 			i := idx[k]

@@ -226,7 +226,7 @@ func TestUnitValueViewEquivalence(t *testing.T) {
 		explicit := FromProblem(p, form)
 		explicit.UnitValues = false
 		if form == perfmodel.Primal {
-			explicit.Val = p.ACols.Val
+			explicit.Val = p.ACols().Val
 		} else {
 			explicit.Val = p.A.Val
 		}
@@ -275,5 +275,98 @@ func TestCriteoViewsUsePatternStorage(t *testing.T) {
 	// pinned with the other modeled sizes (sizes_test.go).
 	if v.NNZ() != 16000 || v.Bytes() != 104040 {
 		t.Fatalf("pattern view holds %d entries in %d bytes, want 16000 in 104040", v.NNZ(), v.Bytes())
+	}
+}
+
+// copiedView is a view over ids built the way views were built before
+// they could share the problem's arrays: every coordinate's entries copied
+// into compact arrays (SelectRows for the dual, a column-by-column copy of
+// a fresh CSC for the primal).
+func copiedView(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
+	var ptr []int
+	var idx []int32
+	var val []float32
+	if form == perfmodel.Dual {
+		sub := p.A.SelectRows(ids)
+		ptr, idx, val = sub.RowPtr, sub.ColIdx, sub.Val
+	} else {
+		csc := p.A.ToCSC()
+		ptr = []int{0}
+		for _, id := range ids {
+			lo, hi := csc.ColPtr[id], csc.ColPtr[id+1]
+			idx = append(idx, csc.RowIdx[lo:hi]...)
+			val = append(val, csc.Val[lo:hi]...)
+			ptr = append(ptr, len(idx))
+		}
+	}
+	ref := Subset(p, form, ids)
+	v := &View{Form: form, Num: len(ids), SharedLen: ref.SharedLen, NGlobal: p.N, Lambda: p.Lambda,
+		Ptr: ptr, Idx: idx, Val: val, Norms: ref.Norms, YShared: ref.YShared, YCoord: ref.YCoord}
+	v.DropUnitValues()
+	return v
+}
+
+// A contiguous partition's views point into the problem's own layout
+// (nothing is copied); a random partition's views hold compact copies.
+// Either way they hand the engine exactly what a copied view would: the
+// same entries, bit for bit, and the same share of the shared vector.
+func TestSubsetAliasesProblem(t *testing.T) {
+	problems := map[string]*ridge.Problem{
+		"random": testProblem(t, 12, 90, 40, 5, 0.05),
+		"criteo": criteoProblem(t),
+	}
+	for name, p := range problems {
+		for _, form := range []perfmodel.Form{perfmodel.Primal, perfmodel.Dual} {
+			n, ptr, idx, val := p.M, p.ACols().ColPtr, p.ACols().RowIdx, p.ACols().Val
+			if form == perfmodel.Dual {
+				n, ptr, idx, val = p.N, p.A.RowPtr, p.A.ColIdx, p.A.Val
+			}
+			partitions := map[string][][]int{
+				"random":     randomParts(n, 3, 7),
+				"contiguous": contiguousParts(n, 3),
+			}
+			for pname, parts := range partitions {
+				for r, ids := range parts {
+					v := Subset(p, form, ids)
+					oracle := copiedView(p, form, ids)
+					if err := v.Validate(); err != nil {
+						t.Fatalf("%s %v %s rank %d: %v", name, form, pname, r, err)
+					}
+					for k, id := range ids {
+						gi, gv := v.CoordNZ(k)
+						wi, wv := oracle.CoordNZ(k)
+						if len(gi) != ptr[id+1]-ptr[id] || len(gi) != len(wi) || len(gv) != len(wv) {
+							t.Fatalf("%s %v %s rank %d coordinate %d: %d entries, want %d", name, form, pname, r, k, len(gi), len(wi))
+						}
+						if len(gi) == 0 {
+							continue
+						}
+						shared := &gi[0] == &idx[ptr[id]] && (v.UnitValues || &gv[0] == &val[ptr[id]])
+						if shared != (pname == "contiguous") {
+							t.Fatalf("%s %v %s rank %d coordinate %d: entries in the problem's layout = %v", name, form, pname, r, k, shared)
+						}
+						for e := range gi {
+							if gi[e] != wi[e] || math.Float32bits(gv[e]) != math.Float32bits(wv[e]) {
+								t.Fatalf("%s %v %s rank %d coordinate %d entry %d: (%d, %v), want (%d, %v)",
+									name, form, pname, r, k, e, gi[e], gv[e], wi[e], wv[e])
+							}
+						}
+					}
+					model := make([]float32, v.Num)
+					rr := rng.New(uint64(r) + 3)
+					for c := range model {
+						model[c] = float32(rr.NormFloat64())
+					}
+					got, want := make([]float32, v.SharedLen), make([]float32, v.SharedLen)
+					v.MulModel(got, model)
+					oracle.MulModel(want, model)
+					for i := range got {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("%s %v %s rank %d: MulModel[%d] = %v, want %v", name, form, pname, r, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
 	}
 }

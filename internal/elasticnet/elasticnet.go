@@ -104,7 +104,7 @@ func (p *Problem) stepFromDot(m int, dp float64, betaM float32) float32 {
 // Delta computes the exact coordinate step for feature m given the shared
 // vector w and the current weight. The new weight is betaM+Delta.
 func (p *Problem) Delta(m int, w []float32, betaM float32) float32 {
-	idx, val := p.ACols.Col(m)
+	idx, val := p.ACols().Col(m)
 	var dp float64
 	for k := range idx {
 		i := idx[k]
@@ -121,9 +121,10 @@ func (p *Problem) OptimalityViolation(beta []float32) float64 {
 	w := make([]float32, p.N)
 	p.A.MulVec(w, beta)
 	n := float64(p.N)
+	cols := p.ACols()
 	var worst float64
 	for m := 0; m < p.M; m++ {
-		idx, val := p.ACols.Col(m)
+		idx, val := cols.Col(m)
 		var dp float64
 		for k := range idx {
 			i := idx[k]

@@ -2,6 +2,7 @@ package elasticnet
 
 import (
 	"tpascd/internal/perfmodel"
+	"tpascd/internal/sparse"
 )
 
 // Loss adapts an elastic-net Problem to the engine's Loss interface:
@@ -10,11 +11,13 @@ import (
 // It satisfies engine.Loss structurally so this package does not depend on
 // the engine.
 type Loss struct {
-	p *Problem
+	p    *Problem
+	cols *sparse.CSC
 }
 
-// NewLoss returns the elastic-net loss.
-func NewLoss(p *Problem) *Loss { return &Loss{p: p} }
+// NewLoss returns the elastic-net loss, building the problem's column
+// layout now so that no epoch pays for it.
+func NewLoss(p *Problem) *Loss { return &Loss{p: p, cols: p.ACols()} }
 
 // Problem returns the underlying problem.
 func (l *Loss) Problem() *Problem { return l.p }
@@ -35,7 +38,7 @@ func (l *Loss) SharedLen() int { return l.p.N }
 func (l *Loss) NNZ() int64 { return int64(l.p.A.NNZ()) }
 
 // CoordNZ returns the column a_m.
-func (l *Loss) CoordNZ(c int) ([]int32, []float32) { return l.p.ACols.Col(c) }
+func (l *Loss) CoordNZ(c int) ([]int32, []float32) { return l.cols.Col(c) }
 
 // Residual reports the residual inner-product form Σ val·(y−w).
 func (l *Loss) Residual() bool { return true }
@@ -62,5 +65,5 @@ func (l *Loss) RecomputeShared(dst, model []float32) { l.p.A.MulVec(dst, model) 
 // DataBytes returns the approximate device-resident footprint of the CSC
 // matrix, per-feature norms and permutation, and labels.
 func (l *Loss) DataBytes() int64 {
-	return l.p.ACols.Bytes() + int64(l.p.M)*12 + int64(l.p.N)*4
+	return l.cols.Bytes() + int64(l.p.M)*12 + int64(l.p.N)*4
 }

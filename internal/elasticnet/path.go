@@ -46,8 +46,9 @@ func Path(rp *ridge.Problem, alpha float64, nLambda int, lambdaMinRatio, tol flo
 	// λ_max: with β=0, coordinate m activates as soon as
 	// |⟨a_m, y⟩|/N > λα, so the path starts where nothing is active.
 	var maxCorr float64
+	cols := rp.ACols()
 	for m := 0; m < rp.M; m++ {
-		idx, val := rp.ACols.Col(m)
+		idx, val := cols.Col(m)
 		var dp float64
 		for k := range idx {
 			dp += float64(val[k]) * float64(rp.Y[idx[k]])

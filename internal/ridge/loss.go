@@ -2,6 +2,7 @@ package ridge
 
 import (
 	"tpascd/internal/perfmodel"
+	"tpascd/internal/sparse"
 )
 
 // Loss adapts a ridge Problem to the engine's Loss interface for either
@@ -16,15 +17,25 @@ type Loss struct {
 	// (dual).
 	numCoords, sharedLen int
 	nnz                  int64
+	// cols is the problem's CSC layout (primal only, nil in the dual) and
+	// norms the squared norms of the coordinates: taken once here so the
+	// per-coordinate calls never touch the problem's lazy build.
+	cols  *sparse.CSC
+	norms []float64
 }
 
-// NewLoss returns the ridge loss for the given formulation.
+// NewLoss returns the ridge loss for the given formulation. The primal
+// builds the problem's column layout now, so no epoch pays for it; the dual
+// never asks for it.
 func NewLoss(p *Problem, form perfmodel.Form) *Loss {
 	l := &Loss{p: p, form: form}
 	if form == perfmodel.Primal {
 		l.numCoords, l.sharedLen = p.M, p.N
+		l.cols = p.ACols()
+		l.norms = p.colNormsSq
 	} else {
 		l.numCoords, l.sharedLen = p.N, p.M
+		l.norms = p.rowNormsSq
 	}
 	l.nnz = int64(p.A.NNZ())
 	return l
@@ -52,7 +63,7 @@ func (l *Loss) NNZ() int64 { return l.nnz }
 // the primal, the row ā_c in the dual.
 func (l *Loss) CoordNZ(c int) ([]int32, []float32) {
 	if l.form == perfmodel.Primal {
-		return l.p.ACols.Col(c)
+		return l.cols.Col(c)
 	}
 	return l.p.A.Row(c)
 }
@@ -75,10 +86,10 @@ func (l *Loss) Step(c int, dp float64, cur float32) float32 {
 	p := l.p
 	if l.form == perfmodel.Primal {
 		nl := float64(p.N) * p.Lambda
-		return float32((dp - nl*float64(cur)) / (p.ColNormSq(c) + nl))
+		return float32((dp - nl*float64(cur)) / (l.norms[c] + nl))
 	}
 	ln := p.Lambda * float64(p.N)
-	return float32((p.Lambda*float64(p.Y[c]) - dp - ln*float64(cur)) / (ln + p.RowNormSq(c)))
+	return float32((p.Lambda*float64(p.Y[c]) - dp - ln*float64(cur)) / (ln + l.norms[c]))
 }
 
 // UpdateCoeff returns the shared-vector coefficient: the step itself for
@@ -108,7 +119,7 @@ func (l *Loss) DataBytes() int64 {
 	p := l.p
 	if l.form == perfmodel.Primal {
 		// CSC matrix + per-feature norms and permutation + labels.
-		return p.ACols.Bytes() + int64(p.M)*12 + int64(p.N)*4
+		return l.cols.Bytes() + int64(p.M)*12 + int64(p.N)*4
 	}
 	// CSR matrix + per-example norms, permutation and labels.
 	return p.A.Bytes() + int64(p.N)*16

@@ -16,21 +16,22 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"tpascd/internal/linalg"
 	"tpascd/internal/sparse"
 )
 
 // Problem bundles the training data with the regularization strength and
-// caches the per-coordinate squared norms required by the update rules.
-// A Problem is immutable after construction and safe for concurrent use.
+// the per-coordinate squared norms required by the update rules. It holds
+// the matrix row-major; the column-major layout and the column norms, which
+// only the primal needs, are built the first time something asks for them,
+// so a dual run never pays for them. A Problem is immutable after
+// construction (the one-time build is guarded) and safe for concurrent use.
 type Problem struct {
 	// A is the row-major (CSR) view of the N×M data matrix, used by the
 	// dual solvers ("data distributed by example").
 	A *sparse.CSR
-	// ACols is the column-major (CSC) view of the same matrix, used by the
-	// primal solvers ("data distributed by feature").
-	ACols *sparse.CSC
 	// Y holds the N training labels.
 	Y []float32
 	// Lambda is the regularization parameter λ > 0.
@@ -38,13 +39,16 @@ type Problem struct {
 	// N and M are the number of examples and features.
 	N, M int
 
-	colNormsSq []float64 // ‖a_m‖² per feature
 	rowNormsSq []float64 // ‖ā_n‖² per example
+
+	colsOnce   sync.Once
+	cols       *sparse.CSC // built by ACols
+	colNormsSq []float64   // ‖a_m‖² per feature, built with cols
 }
 
-// NewProblem builds a Problem from a CSR data matrix, labels and λ.
-// The CSC view and the coordinate norms are computed eagerly; for the
-// dataset sizes targeted here this is cheap relative to a single epoch.
+// NewProblem builds a Problem from a CSR data matrix, labels and λ. It
+// computes the row norms; the CSC layout and the column norms wait for the
+// first ACols or ColNormSq call.
 func NewProblem(a *sparse.CSR, y []float32, lambda float64) (*Problem, error) {
 	if a == nil {
 		return nil, errors.New("ridge: nil data matrix")
@@ -55,21 +59,34 @@ func NewProblem(a *sparse.CSR, y []float32, lambda float64) (*Problem, error) {
 	if lambda <= 0 {
 		return nil, fmt.Errorf("ridge: lambda must be positive, got %g", lambda)
 	}
-	csc := a.ToCSC()
 	return &Problem{
 		A:          a,
-		ACols:      csc,
 		Y:          y,
 		Lambda:     lambda,
 		N:          a.NumRows,
 		M:          a.NumCols,
-		colNormsSq: csc.ColNormsSq(),
 		rowNormsSq: a.RowNormsSq(),
 	}, nil
 }
 
-// ColNormSq returns ‖a_m‖² for feature m.
-func (p *Problem) ColNormSq(m int) float64 { return p.colNormsSq[m] }
+// ACols returns the column-major (CSC) view of the matrix, used by the
+// primal solvers ("data distributed by feature"). The first call builds it
+// and the column norms; later calls, from any goroutine, return the same
+// pointer.
+func (p *Problem) ACols() *sparse.CSC {
+	p.colsOnce.Do(func() {
+		p.cols = p.A.ToCSC()
+		p.colNormsSq = p.cols.ColNormsSq()
+	})
+	return p.cols
+}
+
+// ColNormSq returns ‖a_m‖² for feature m, building the column layout on
+// first use.
+func (p *Problem) ColNormSq(m int) float64 {
+	p.ACols()
+	return p.colNormsSq[m]
+}
 
 // RowNormSq returns ‖ā_n‖² for example n.
 func (p *Problem) RowNormSq(n int) float64 { return p.rowNormsSq[n] }
@@ -175,7 +192,7 @@ func (p *Problem) GapDual(alpha []float32) float64 {
 //
 // given the current shared vector w = Aβ and current weight betaM.
 func (p *Problem) PrimalDelta(m int, w []float32, betaM float32) float32 {
-	idx, val := p.ACols.Col(m)
+	idx, val := p.ACols().Col(m)
 	var dp float64
 	for k := range idx {
 		i := idx[k]

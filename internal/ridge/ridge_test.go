@@ -181,7 +181,7 @@ func TestCoordinateDescentReachesReferenceOptimum(t *testing.T) {
 		for m := 0; m < p.M; m++ {
 			d := p.PrimalDelta(m, w, beta[m])
 			beta[m] += d
-			idx, val := p.ACols.Col(m)
+			idx, val := p.ACols().Col(m)
 			for k := range idx {
 				w[idx[k]] += val[k] * d
 			}
@@ -240,7 +240,7 @@ func TestOptimalityResiduals(t *testing.T) {
 		for m := 0; m < p.M; m++ {
 			d := p.PrimalDelta(m, w, beta[m])
 			beta[m] += d
-			idx, val := p.ACols.Col(m)
+			idx, val := p.ACols().Col(m)
 			for k := range idx {
 				w[idx[k]] += val[k] * d
 			}

@@ -190,7 +190,8 @@ func FromDense(a [][]float32, cols int) *CSR {
 }
 
 // SelectRows returns a new CSR containing the given rows of m, in order.
-// Used to partition training data by example for the dual distributed solver.
+// Used to partition training data by example (the SVM distributed example
+// and the train/test split of internal/metrics).
 func (m *CSR) SelectRows(rows []int) *CSR {
 	rowPtr := make([]int, len(rows)+1)
 	nnz := 0
@@ -208,26 +209,4 @@ func (m *CSR) SelectRows(rows []int) *CSR {
 		p += hi - lo
 	}
 	return &CSR{NumRows: len(rows), NumCols: m.NumCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
-}
-
-// SelectCols returns a new CSC containing the given columns of m, in order.
-// Used to partition training data by feature for the primal distributed
-// solver.
-func (m *CSC) SelectCols(cols []int) *CSC {
-	colPtr := make([]int, len(cols)+1)
-	nnz := 0
-	for j, c := range cols {
-		nnz += m.ColPtr[c+1] - m.ColPtr[c]
-		colPtr[j+1] = nnz
-	}
-	rowIdx := make([]int32, nnz)
-	val := make([]float32, nnz)
-	p := 0
-	for _, c := range cols {
-		lo, hi := m.ColPtr[c], m.ColPtr[c+1]
-		copy(rowIdx[p:], m.RowIdx[lo:hi])
-		copy(val[p:], m.Val[lo:hi])
-		p += hi - lo
-	}
-	return &CSC{NumRows: m.NumRows, NumCols: len(cols), ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 }

@@ -278,21 +278,6 @@ func TestSelectRows(t *testing.T) {
 	}
 }
 
-func TestSelectCols(t *testing.T) {
-	csc := refCOO().ToCSC()
-	sub := csc.SelectCols([]int{2, 1})
-	if sub.NumRows != 4 || sub.NumCols != 2 {
-		t.Fatalf("shape = %dx%d", sub.NumRows, sub.NumCols)
-	}
-	idx, val := sub.Col(0)
-	if len(idx) != 3 || val[2] != 6 {
-		t.Fatalf("col 0 of selection wrong: %v %v", idx, val)
-	}
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestValidateCatchesCorruption(t *testing.T) {
 	csr := refCOO().ToCSR()
 	csr.ColIdx[0] = 99
