@@ -142,14 +142,15 @@ func benchGuardProblem(b testing.TB) *ridge.Problem {
 // against the ridge problem with no interface in sight.
 func directPrimalEpoch(p *ridge.Problem, model, shared []float32, perm []int) {
 	nl := float64(p.N) * p.Lambda
+	cols, norms := p.ACols(), p.ColNormsSq()
 	for _, c := range perm {
-		idx, val := p.ACols().Col(c)
+		idx, val := cols.Col(c)
 		var dp float64
 		for k := range idx {
 			i := idx[k]
 			dp += float64(val[k]) * (float64(p.Y[i]) - float64(shared[i]))
 		}
-		d := float32((dp - nl*float64(model[c])) / (p.ColNormSq(c) + nl))
+		d := float32((dp - nl*float64(model[c])) / (norms[c] + nl))
 		if d == 0 {
 			continue
 		}

@@ -131,8 +131,8 @@ type Worker = dist.Worker
 type CoordinateView = coords.View
 
 // PartitionView extracts the coordinate view for the given coordinate ids
-// (features in the primal form, examples in the dual). A contiguous run of
-// ids shares the problem's matrix; scattered ids get compact copies.
+// (features in the primal form, examples in the dual). The view holds
+// compact copies of its coordinates' entries.
 func PartitionView(p *Problem, form Form, ids []int) *CoordinateView {
 	return coords.Subset(p, form, ids)
 }

@@ -22,16 +22,13 @@ import (
 // View describes a set of coordinates of a ridge-regression problem.
 //
 // For coordinate c, the non-zero entries are Idx/Val[Ptr[c]:Ptr[c+1]]; the
-// indices address the shared vector (length SharedLen). A view over a
-// contiguous run of coordinates (a whole problem, a contiguous partition)
-// copies no matrix data: Ptr is a window of the problem's own pointer array
-// and Idx/Val are the problem's arrays, so Ptr[0] need not be 0. A view
-// over scattered coordinates (a random partition) gathers their entries
-// into compact arrays of its own, because reading them in place, spread
-// across the problem's arrays, makes the local epoch measurably slower.
-// Norms[c] holds ‖a_c‖². For the primal form YShared holds the labels
-// indexed like the shared vector (length N); for the dual form YCoord
-// holds the labels of the local coordinates (examples).
+// indices address the shared vector (length SharedLen). A view over the
+// whole problem shares the problem's arrays; a view over a subset holds
+// compact copies of its coordinates' entries, so a worker that drops the
+// problem keeps only its own share. Norms[c] holds ‖a_c‖². For the primal
+// form YShared holds the labels indexed like the shared vector (length N);
+// for the dual form YCoord holds the labels of the local coordinates
+// (examples).
 type View struct {
 	Form      perfmodel.Form
 	Num       int // number of coordinates in this view
@@ -59,9 +56,8 @@ type View struct {
 }
 
 // DropUnitValues converts the view to pattern-only storage when every
-// value of the view's coordinates is exactly 1, dropping its value array.
-// It reports whether the conversion happened. FromProblem and Subset apply
-// it automatically.
+// stored value is exactly 1, releasing the value array. It reports whether
+// the conversion happened. FromProblem and Subset apply it automatically.
 func (v *View) DropUnitValues() bool {
 	if v.UnitValues {
 		return true
@@ -72,7 +68,7 @@ func (v *View) DropUnitValues() bool {
 			maxLen = n
 		}
 	}
-	for _, x := range v.Val[v.Ptr[0]:v.Ptr[v.Num]] {
+	for _, x := range v.Val {
 		if x != 1 {
 			return false
 		}
@@ -86,8 +82,8 @@ func (v *View) DropUnitValues() bool {
 	return true
 }
 
-// NNZ returns the number of matrix entries of the view's coordinates.
-func (v *View) NNZ() int64 { return int64(v.Ptr[v.Num] - v.Ptr[0]) }
+// NNZ returns the number of stored matrix entries in the view.
+func (v *View) NNZ() int64 { return int64(len(v.Idx)) }
 
 // CoordNZ returns the non-zero pattern of coordinate c. For unit-value
 // views the value slice aliases a shared all-ones buffer.
@@ -122,8 +118,8 @@ func (v *View) Validate() error {
 	if len(v.Ptr) != v.Num+1 {
 		return fmt.Errorf("coords: Ptr length %d for %d coordinates", len(v.Ptr), v.Num)
 	}
-	if v.Ptr[0] < 0 || v.Ptr[v.Num] > len(v.Idx) {
-		return fmt.Errorf("coords: entries [%d, %d) outside storage of %d", v.Ptr[0], v.Ptr[v.Num], len(v.Idx))
+	if v.Ptr[v.Num] != len(v.Idx) {
+		return fmt.Errorf("coords: storage lengths inconsistent")
 	}
 	if !v.UnitValues && len(v.Idx) != len(v.Val) {
 		return fmt.Errorf("coords: %d indices for %d values", len(v.Idx), len(v.Val))
@@ -131,7 +127,7 @@ func (v *View) Validate() error {
 	if len(v.Norms) != v.Num {
 		return fmt.Errorf("coords: %d norms for %d coordinates", len(v.Norms), v.Num)
 	}
-	for _, i := range v.Idx[v.Ptr[0]:v.Ptr[v.Num]] {
+	for _, i := range v.Idx {
 		if i < 0 || int(i) >= v.SharedLen {
 			return fmt.Errorf("coords: shared index %d out of range %d", i, v.SharedLen)
 		}
@@ -146,16 +142,20 @@ func (v *View) Validate() error {
 	return nil
 }
 
-// FromProblem builds a view over all coordinates of the problem. It
-// copies no matrix data.
+// FromProblem builds a view over all coordinates of the problem. It shares
+// the problem's matrix arrays.
 func FromProblem(p *ridge.Problem, form perfmodel.Form) *View { return newView(p, form, nil) }
 
 // Subset builds a view over the given coordinate indices of the problem
 // (features for the primal form, examples for the dual form), in the order
 // given. This is the per-worker partition used by the distributed
-// algorithms. A contiguous run of ids shares the problem's matrix; other
-// ids get compact copies of their entries (see View).
-func Subset(p *ridge.Problem, form perfmodel.Form, ids []int) *View { return newView(p, form, ids) }
+// algorithms. The view holds compact copies of its coordinates' entries.
+func Subset(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
+	if ids == nil {
+		ids = []int{} // no coordinates; newView reads nil as all of them
+	}
+	return newView(p, form, ids)
+}
 
 // newView builds a view over the layout the form reads: the problem's CSC
 // for the primal, which asks the problem to build it, and its CSR for the
@@ -167,81 +167,57 @@ func newView(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
 	var val []float32
 	var normSq func(int) float64
 	if form == perfmodel.Primal {
-		cols := p.ACols()
+		cols, norms := p.ACols(), p.ColNormsSq()
 		ptr, idx, val = cols.ColPtr, cols.RowIdx, cols.Val
 		v.Num, v.SharedLen, v.YShared = p.M, p.N, p.Y
-		normSq = p.ColNormSq
+		normSq = func(m int) float64 { return norms[m] }
 	} else {
 		ptr, idx, val = p.A.RowPtr, p.A.ColIdx, p.A.Val
 		v.Num, v.SharedLen = p.N, p.M
 		normSq = p.RowNormSq
 	}
-	first := 0
+	v.Ptr, v.Idx, v.Val = ptr, idx, val
+	id := func(k int) int { return k }
 	if ids != nil {
 		v.Num = len(ids)
-		if v.Num > 0 {
-			first = ids[0]
-		}
-	}
-	id := func(k int) int {
-		if ids == nil {
-			return k
-		}
-		return ids[k]
-	}
-	if contiguous(ids) {
-		v.Ptr, v.Idx, v.Val = ptr[first:first+v.Num+1], idx, val
-	} else {
+		id = func(k int) int { return ids[k] }
 		v.Ptr = make([]int, v.Num+1)
-		for k := 0; k < v.Num; k++ {
-			v.Ptr[k+1] = v.Ptr[k] + ptr[id(k)+1] - ptr[id(k)]
+		for k, c := range ids {
+			v.Ptr[k+1] = v.Ptr[k] + ptr[c+1] - ptr[c]
 		}
 		v.Idx = make([]int32, 0, v.Ptr[v.Num])
 		v.Val = make([]float32, 0, v.Ptr[v.Num])
-		for k := 0; k < v.Num; k++ {
-			lo, hi := ptr[id(k)], ptr[id(k)+1]
-			v.Idx = append(v.Idx, idx[lo:hi]...)
-			v.Val = append(v.Val, val[lo:hi]...)
+		for _, c := range ids {
+			v.Idx = append(v.Idx, idx[ptr[c]:ptr[c+1]]...)
+			v.Val = append(v.Val, val[ptr[c]:ptr[c+1]]...)
 		}
 	}
 	v.Norms = make([]float64, v.Num)
-	if form == perfmodel.Dual {
-		v.YCoord = make([]float32, v.Num)
-	}
 	for k := range v.Norms {
 		v.Norms[k] = normSq(id(k))
-		if v.YCoord != nil {
-			v.YCoord[k] = p.Y[id(k)]
+	}
+	if form == perfmodel.Dual {
+		v.YCoord = p.Y
+		if ids != nil {
+			v.YCoord = make([]float32, v.Num)
+			for k, c := range ids {
+				v.YCoord[k] = p.Y[c]
+			}
 		}
 	}
 	v.DropUnitValues()
 	return v
 }
 
-// contiguous reports whether ids (nil meaning all coordinates) is a run of
-// consecutive indices.
-func contiguous(ids []int) bool {
-	for k, id := range ids {
-		if id != ids[0]+k {
-			return false
-		}
-	}
-	return true
-}
-
 // Bytes returns the approximate device-memory footprint of the view's data
-// (pointers, indices, values, norms, labels) as a device holding only this
-// view's coordinates would store it: the modeled size, not the host's,
-// which is smaller when the view shares the problem's arrays. Unit-value
-// views carry no value array — the footnote-2 memory halving for all-ones
-// data.
+// (pointers, indices, values, norms, labels). Unit-value views carry no
+// value array — the footnote-2 memory halving for all-ones data.
 func (v *View) Bytes() int64 {
-	nnz := v.NNZ()
-	b := int64(len(v.Ptr))*8 + nnz*4 + int64(len(v.Norms))*8
+	b := int64(len(v.Ptr))*8 + int64(len(v.Idx))*4 + int64(len(v.Norms))*8
 	if v.UnitValues {
 		b += int64(len(v.ones)) * 4
 	} else {
-		b += nnz * 4
+		b += int64(len(v.Val)) * 4
 	}
 	b += int64(len(v.YShared))*4 + int64(len(v.YCoord))*4
 	return b

@@ -174,6 +174,17 @@ func TestValidateCatchesBadViews(t *testing.T) {
 	if err := bad3.Validate(); err == nil {
 		t.Fatal("missing labels accepted")
 	}
+	sub := Subset(p, perfmodel.Primal, []int{1, 2, 3})
+	bad4 := *sub
+	bad4.Ptr = append([]int(nil), sub.Ptr...)
+	bad4.Ptr[0] = bad4.Ptr[3] + 1
+	bad4.Ptr[3]--
+	if err := bad4.Validate(); err == nil {
+		t.Fatal("pointer array disagreeing with storage accepted")
+	}
+	if empty := Subset(p, perfmodel.Dual, nil); empty.Num != 0 || empty.NNZ() != 0 {
+		t.Fatalf("Subset(nil) has %d coordinates, %d entries; want none", empty.Num, empty.NNZ())
+	}
 }
 
 func TestBytesPositive(t *testing.T) {
@@ -278,9 +289,8 @@ func TestCriteoViewsUsePatternStorage(t *testing.T) {
 	}
 }
 
-// copiedView is a view over ids built the way views were built before
-// they could share the problem's arrays: every coordinate's entries copied
-// into compact arrays (SelectRows for the dual, a column-by-column copy of
+// copiedView is an oracle view over ids with every coordinate's entries
+// copied into compact arrays (SelectRows for the dual, a column-by-column copy of
 // a fresh CSC for the primal).
 func copiedView(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
 	var ptr []int
@@ -306,10 +316,11 @@ func copiedView(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
 	return v
 }
 
-// A contiguous partition's views point into the problem's own layout
-// (nothing is copied); a random partition's views hold compact copies.
-// Either way they hand the engine exactly what a copied view would: the
-// same entries, bit for bit, and the same share of the shared vector.
+// The whole-problem view points into the problem's own layout (nothing is
+// copied); the views of random and contiguous partitions hold compact
+// copies, so a rank that drops the problem keeps only its share. Either way
+// they hand the engine exactly what a copied view would: the same entries,
+// bit for bit, and the same share of the shared vector.
 func TestSubsetAliasesProblem(t *testing.T) {
 	problems := map[string]*ridge.Problem{
 		"random": testProblem(t, 12, 90, 40, 5, 0.05),
@@ -322,12 +333,16 @@ func TestSubsetAliasesProblem(t *testing.T) {
 				n, ptr, idx, val = p.N, p.A.RowPtr, p.A.ColIdx, p.A.Val
 			}
 			partitions := map[string][][]int{
+				"whole":      contiguousParts(n, 1),
 				"random":     randomParts(n, 3, 7),
 				"contiguous": contiguousParts(n, 3),
 			}
 			for pname, parts := range partitions {
 				for r, ids := range parts {
 					v := Subset(p, form, ids)
+					if pname == "whole" {
+						v = FromProblem(p, form)
+					}
 					oracle := copiedView(p, form, ids)
 					if err := v.Validate(); err != nil {
 						t.Fatalf("%s %v %s rank %d: %v", name, form, pname, r, err)
@@ -342,7 +357,7 @@ func TestSubsetAliasesProblem(t *testing.T) {
 							continue
 						}
 						shared := &gi[0] == &idx[ptr[id]] && (v.UnitValues || &gv[0] == &val[ptr[id]])
-						if shared != (pname == "contiguous") {
+						if shared != (pname == "whole") {
 							t.Fatalf("%s %v %s rank %d coordinate %d: entries in the problem's layout = %v", name, form, pname, r, k, shared)
 						}
 						for e := range gi {

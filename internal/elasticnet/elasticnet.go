@@ -89,12 +89,13 @@ func SoftThreshold(c, t float64) float64 {
 	}
 }
 
-// stepFromDot turns the residual inner product dp = ⟨y−w, a_m⟩ and the
-// current weight into the exact soft-thresholding step.
-func (p *Problem) stepFromDot(m int, dp float64, betaM float32) float32 {
+// stepFromDot turns the residual inner product dp = ⟨y−w, a_m⟩, the
+// column's squared norm ‖a_m‖² and the current weight into the exact
+// soft-thresholding step.
+func (p *Problem) stepFromDot(normSq, dp float64, betaM float32) float32 {
 	n := float64(p.N)
-	c := (dp + p.ColNormSq(m)*float64(betaM)) / n
-	u := p.ColNormSq(m)/n + p.Lambda*(1-p.Alpha)
+	c := (dp + normSq*float64(betaM)) / n
+	u := normSq/n + p.Lambda*(1-p.Alpha)
 	if u <= 0 {
 		return 0 // empty column with pure-lasso regularization
 	}
@@ -110,7 +111,7 @@ func (p *Problem) Delta(m int, w []float32, betaM float32) float32 {
 		i := idx[k]
 		dp += float64(val[k]) * (float64(p.Y[i]) - float64(w[i]))
 	}
-	return p.stepFromDot(m, dp, betaM)
+	return p.stepFromDot(p.ColNormSq(m), dp, betaM)
 }
 
 // OptimalityViolation returns the maximum subgradient violation across

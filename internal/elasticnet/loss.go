@@ -11,13 +11,17 @@ import (
 // It satisfies engine.Loss structurally so this package does not depend on
 // the engine.
 type Loss struct {
-	p    *Problem
-	cols *sparse.CSC
+	p *Problem
+	// cols and norms are the problem's column layout and squared column
+	// norms, taken once here so the per-coordinate calls never touch the
+	// problem's lazy build.
+	cols  *sparse.CSC
+	norms []float64
 }
 
 // NewLoss returns the elastic-net loss, building the problem's column
 // layout now so that no epoch pays for it.
-func NewLoss(p *Problem) *Loss { return &Loss{p: p, cols: p.ACols()} }
+func NewLoss(p *Problem) *Loss { return &Loss{p: p, cols: p.ACols(), norms: p.ColNormsSq()} }
 
 // Problem returns the underlying problem.
 func (l *Loss) Problem() *Problem { return l.p }
@@ -49,7 +53,7 @@ func (l *Loss) Labels() []float32 { return l.p.Y }
 // Step computes the exact soft-thresholding coordinate step from the
 // residual inner product dp and the current weight.
 func (l *Loss) Step(c int, dp float64, cur float32) float32 {
-	return l.p.stepFromDot(c, dp, cur)
+	return l.p.stepFromDot(l.norms[c], dp, cur)
 }
 
 // UpdateCoeff returns the shared-vector coefficient: the step itself.

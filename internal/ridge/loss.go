@@ -32,7 +32,7 @@ func NewLoss(p *Problem, form perfmodel.Form) *Loss {
 	if form == perfmodel.Primal {
 		l.numCoords, l.sharedLen = p.M, p.N
 		l.cols = p.ACols()
-		l.norms = p.colNormsSq
+		l.norms = p.ColNormsSq()
 	} else {
 		l.numCoords, l.sharedLen = p.N, p.M
 		l.norms = p.rowNormsSq

@@ -48,7 +48,7 @@ type Problem struct {
 
 // NewProblem builds a Problem from a CSR data matrix, labels and λ. It
 // computes the row norms; the CSC layout and the column norms wait for the
-// first ACols or ColNormSq call.
+// first ACols, ColNormsSq or ColNormSq call.
 func NewProblem(a *sparse.CSR, y []float32, lambda float64) (*Problem, error) {
 	if a == nil {
 		return nil, errors.New("ridge: nil data matrix")
@@ -81,12 +81,16 @@ func (p *Problem) ACols() *sparse.CSC {
 	return p.cols
 }
 
-// ColNormSq returns ‖a_m‖² for feature m, building the column layout on
-// first use.
-func (p *Problem) ColNormSq(m int) float64 {
+// ColNormsSq returns ‖a_m‖² for every feature, building the column layout
+// on first use. The slice is shared and must not be modified.
+func (p *Problem) ColNormsSq() []float64 {
 	p.ACols()
-	return p.colNormsSq[m]
+	return p.colNormsSq
 }
+
+// ColNormSq returns ‖a_m‖² for feature m, building the column layout on
+// first use. Loops over many features should take ColNormsSq once instead.
+func (p *Problem) ColNormSq(m int) float64 { return p.ColNormsSq()[m] }
 
 // RowNormSq returns ‖ā_n‖² for example n.
 func (p *Problem) RowNormSq(n int) float64 { return p.rowNormsSq[n] }
