@@ -45,41 +45,13 @@ type View struct {
 	YCoord  []float32 // dual only: labels indexed by local coordinate
 
 	// UnitValues marks a pattern-only view: every stored value is exactly
-	// 1 and Val is not materialized. This is the memory optimization of
-	// the paper's footnote 2 for the criteo data ("the values in the
-	// training data matrix are always 1 and so one could halve the memory
-	// usage by re-writing the code to explicitly assume this"). CoordNZ
-	// hands out slices of the small shared ones buffer, so consumers need
-	// no branches.
+	// 1 and Val is nil. A view has this form exactly when the problem's
+	// matrix does (sparse.CSR and sparse.CSC keep all-ones data without a
+	// value array: the paper's footnote 2). CoordNZ then hands out slices
+	// of a ones buffer as long as the view's longest coordinate, so
+	// consumers need no branches.
 	UnitValues bool
 	ones       []float32
-}
-
-// DropUnitValues converts the view to pattern-only storage when every
-// stored value is exactly 1, releasing the value array. It reports whether
-// the conversion happened. FromProblem and Subset apply it automatically.
-func (v *View) DropUnitValues() bool {
-	if v.UnitValues {
-		return true
-	}
-	maxLen := 0
-	for c := 0; c < v.Num; c++ {
-		if n := v.Ptr[c+1] - v.Ptr[c]; n > maxLen {
-			maxLen = n
-		}
-	}
-	for _, x := range v.Val {
-		if x != 1 {
-			return false
-		}
-	}
-	v.ones = make([]float32, maxLen)
-	for i := range v.ones {
-		v.ones[i] = 1
-	}
-	v.Val = nil
-	v.UnitValues = true
-	return true
 }
 
 // NNZ returns the number of stored matrix entries in the view.
@@ -177,6 +149,7 @@ func newView(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
 		normSq = p.RowNormSq
 	}
 	v.Ptr, v.Idx, v.Val = ptr, idx, val
+	v.UnitValues = val == nil
 	id := func(k int) int { return k }
 	if ids != nil {
 		v.Num = len(ids)
@@ -186,10 +159,24 @@ func newView(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
 			v.Ptr[k+1] = v.Ptr[k] + ptr[c+1] - ptr[c]
 		}
 		v.Idx = make([]int32, 0, v.Ptr[v.Num])
-		v.Val = make([]float32, 0, v.Ptr[v.Num])
+		if !v.UnitValues {
+			v.Val = make([]float32, 0, v.Ptr[v.Num])
+		}
 		for _, c := range ids {
 			v.Idx = append(v.Idx, idx[ptr[c]:ptr[c+1]]...)
-			v.Val = append(v.Val, val[ptr[c]:ptr[c+1]]...)
+			if !v.UnitValues {
+				v.Val = append(v.Val, val[ptr[c]:ptr[c+1]]...)
+			}
+		}
+	}
+	if v.UnitValues {
+		longest := 0
+		for c := 0; c < v.Num; c++ {
+			longest = max(longest, v.Ptr[c+1]-v.Ptr[c])
+		}
+		v.ones = make([]float32, longest)
+		for i := range v.ones {
+			v.ones[i] = 1
 		}
 	}
 	v.Norms = make([]float64, v.Num)
@@ -205,13 +192,13 @@ func newView(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
 			}
 		}
 	}
-	v.DropUnitValues()
 	return v
 }
 
 // Bytes returns the approximate device-memory footprint of the view's data
-// (pointers, indices, values, norms, labels). Unit-value views carry no
-// value array — the footnote-2 memory halving for all-ones data.
+// (pointers, indices, values, norms, labels). A unit-value view's device
+// copy holds its ones buffer in place of a value array: the footnote-2
+// memory halving for all-ones data.
 func (v *View) Bytes() int64 {
 	b := int64(len(v.Ptr))*8 + int64(len(v.Idx))*4 + int64(len(v.Norms))*8
 	if v.UnitValues {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"tpascd/internal/datasets"
 	"tpascd/internal/perfmodel"
 	"tpascd/internal/ridge"
 	"tpascd/internal/rng"
@@ -233,13 +234,15 @@ func TestUnitValueViewEquivalence(t *testing.T) {
 		if err := auto.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		// Rebuild an explicit view by suppressing the conversion.
+		// The same view with the values written out.
 		explicit := FromProblem(p, form)
-		explicit.UnitValues = false
-		if form == perfmodel.Primal {
-			explicit.Val = p.ACols().Val
-		} else {
-			explicit.Val = p.A.Val
+		explicit.UnitValues, explicit.ones = false, nil
+		explicit.Val = make([]float32, len(explicit.Idx))
+		for k := range explicit.Val {
+			explicit.Val[k] = 1
+		}
+		if err := explicit.Validate(); err != nil {
+			t.Fatal(err)
 		}
 		shared := make([]float32, auto.SharedLen)
 		r := rng.New(5)
@@ -273,9 +276,9 @@ func TestNonUnitViewStaysExplicit(t *testing.T) {
 	}
 }
 
-// The criteo-like generator produces all-ones data, so its views must
-// auto-convert to pattern-only storage (the paper's footnote-2 memory
-// optimization) and shrink accordingly.
+// The criteo-like generator produces all-ones data, so its views are
+// pattern-only (the paper's footnote-2 memory optimization) and shrink
+// accordingly.
 func TestCriteoViewsUsePatternStorage(t *testing.T) {
 	v := FromProblem(criteoProblem(t), perfmodel.Dual)
 	if !v.UnitValues {
@@ -289,31 +292,73 @@ func TestCriteoViewsUsePatternStorage(t *testing.T) {
 	}
 }
 
-// copiedView is an oracle view over ids with every coordinate's entries
-// copied into compact arrays (SelectRows for the dual, a column-by-column copy of
-// a fresh CSC for the primal).
+// Footnote 2 holds in the store, not only in the views: from the generator
+// through the problem's row and column layouts to every rank's view, an
+// all-ones matrix never holds a value array. Data with other values keeps
+// every array.
+func TestCriteoStoreIsPatternOnly(t *testing.T) {
+	webspam, _, err := datasets.Webspam(datasets.WebspamConfig{N: 600, M: 300, AvgNNZPerRow: 8, Skew: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wp, err := ridge.NewProblem(webspam, make([]float32, webspam.NumRows), 0.01)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]*ridge.Problem{"criteo": criteoProblem(t), "webspam": wp} {
+		unit := name == "criteo"
+		if (p.A.Val == nil) != unit || (p.ACols().Val == nil) != unit {
+			t.Fatalf("%s: CSR value array %d entries, CSC %d", name, len(p.A.Val), len(p.ACols().Val))
+		}
+		for _, form := range []perfmodel.Form{perfmodel.Primal, perfmodel.Dual} {
+			n := p.M
+			if form == perfmodel.Dual {
+				n = p.N
+			}
+			views := []*View{FromProblem(p, form)}
+			for _, parts := range [][][]int{randomParts(n, 3, 5), contiguousParts(n, 3)} {
+				for _, ids := range parts {
+					views = append(views, Subset(p, form, ids))
+				}
+			}
+			for k, v := range views {
+				if v.UnitValues != unit || (v.Val == nil) != unit {
+					t.Fatalf("%s %v view %d: UnitValues %v with %d values", name, form, k, v.UnitValues, len(v.Val))
+				}
+				if err := v.Validate(); err != nil {
+					t.Fatalf("%s %v view %d: %v", name, form, k, err)
+				}
+			}
+		}
+	}
+}
+
+// copiedView is an oracle view over ids with every coordinate's entries,
+// values included, copied into compact arrays (SelectRows for the dual, a
+// column-by-column copy of a fresh CSC for the primal).
 func copiedView(p *ridge.Problem, form perfmodel.Form, ids []int) *View {
-	var ptr []int
+	ptr := []int{0}
 	var idx []int32
 	var val []float32
+	add := func(ci []int32, cv []float32) {
+		idx = append(idx, ci...)
+		val = append(val, cv...)
+		ptr = append(ptr, len(idx))
+	}
 	if form == perfmodel.Dual {
 		sub := p.A.SelectRows(ids)
-		ptr, idx, val = sub.RowPtr, sub.ColIdx, sub.Val
+		for k := range ids {
+			add(sub.Row(k))
+		}
 	} else {
 		csc := p.A.ToCSC()
-		ptr = []int{0}
 		for _, id := range ids {
-			lo, hi := csc.ColPtr[id], csc.ColPtr[id+1]
-			idx = append(idx, csc.RowIdx[lo:hi]...)
-			val = append(val, csc.Val[lo:hi]...)
-			ptr = append(ptr, len(idx))
+			add(csc.Col(id))
 		}
 	}
 	ref := Subset(p, form, ids)
-	v := &View{Form: form, Num: len(ids), SharedLen: ref.SharedLen, NGlobal: p.N, Lambda: p.Lambda,
+	return &View{Form: form, Num: len(ids), SharedLen: ref.SharedLen, NGlobal: p.N, Lambda: p.Lambda,
 		Ptr: ptr, Idx: idx, Val: val, Norms: ref.Norms, YShared: ref.YShared, YCoord: ref.YCoord}
-	v.DropUnitValues()
-	return v
 }
 
 // The whole-problem view points into the problem's own layout (nothing is

@@ -121,11 +121,29 @@ func CriteoDefault() CriteoConfig {
 }
 
 // Criteo generates a criteo-like one-hot categorical dataset. All stored
-// values are exactly 1.
+// values are exactly 1, so the matrix is pattern-only (no value array).
 func Criteo(cfg CriteoConfig) (*sparse.CSR, []float32, error) {
 	if cfg.N <= 0 || cfg.Fields <= 0 || cfg.CardinalityBase <= 0 {
 		return nil, nil, fmt.Errorf("datasets: bad criteo config %+v", cfg)
 	}
+	// Rows come in order, and a row's features come in field order at
+	// ascending, disjoint field offsets, so every row is already sorted
+	// and free of duplicates: the CSR is assembled as it is generated.
+	rowPtr := make([]int, 1, cfg.N+1)
+	colIdx := make([]int32, 0, cfg.N*cfg.Fields)
+	m, y := criteoRows(cfg, func(_ int, features []int) {
+		for _, j := range features {
+			colIdx = append(colIdx, int32(j))
+		}
+		rowPtr = append(rowPtr, len(colIdx))
+	})
+	return sparse.NewPatternCSR(cfg.N, m, rowPtr, colIdx), y, nil
+}
+
+// criteoRows draws the rows of a valid criteo-like config in order, handing
+// each row's feature ids (one per field, in field order) to emit, and
+// returns the number of features and the labels.
+func criteoRows(cfg CriteoConfig, emit func(i int, features []int)) (int, []float32) {
 	r := rng.New(cfg.Seed)
 	// Field vocabularies and their offsets in the global feature space.
 	offsets := make([]int, cfg.Fields+1)
@@ -135,7 +153,6 @@ func Criteo(cfg CriteoConfig) (*sparse.CSR, []float32, error) {
 		offsets[f+1] = offsets[f] + card
 		samplers[f] = newZipfSampler(card, 1.1)
 	}
-	m := offsets[cfg.Fields]
 
 	// Ground truth: a materialized weight per field value would be huge at
 	// criteo scale, so hash each feature id to a continuous weight. Values
@@ -149,7 +166,6 @@ func Criteo(cfg CriteoConfig) (*sparse.CSR, []float32, error) {
 		return float64(h%(1<<20))/(1<<19) - 1 // uniform in [-1, 1)
 	}
 
-	coo := sparse.NewCOO(cfg.N, m, cfg.N*cfg.Fields)
 	y := make([]float32, cfg.N)
 	// Threshold tuned so that roughly PositiveRate of logits exceed it:
 	// estimated from a warm-up sample.
@@ -172,16 +188,14 @@ func Criteo(cfg CriteoConfig) (*sparse.CSR, []float32, error) {
 
 	for i := 0; i < cfg.N; i++ {
 		logit := genRow()
-		for _, j := range rowFeatures {
-			coo.Append(i, j, 1)
-		}
+		emit(i, rowFeatures)
 		if logit > threshold {
 			y[i] = 1
 		} else {
 			y[i] = -1
 		}
 	}
-	return coo.ToCSR(), y, nil
+	return offsets[cfg.Fields], y
 }
 
 // zipfSampler draws indices 0..n-1 with probability ∝ 1/(i+1)^s via CDF

@@ -2,10 +2,12 @@ package datasets
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"tpascd/internal/ridge"
 	"tpascd/internal/rng"
+	"tpascd/internal/sparse"
 )
 
 func TestWebspamShapeAndDeterminism(t *testing.T) {
@@ -32,9 +34,16 @@ func TestWebspamShapeAndDeterminism(t *testing.T) {
 			t.Fatalf("same seed different labels at %d", i)
 		}
 	}
-	for k := range a.Val {
-		if a.Val[k] != b.Val[k] || a.ColIdx[k] != b.ColIdx[k] {
-			t.Fatalf("same seed different entries at %d", k)
+	for i := 0; i < a.NumRows; i++ {
+		ai, av := a.Row(i)
+		bi, bv := b.Row(i)
+		if len(ai) != len(bi) {
+			t.Fatalf("same seed different lengths of row %d: %d vs %d", i, len(ai), len(bi))
+		}
+		for k := range ai {
+			if av[k] != bv[k] || ai[k] != bi[k] {
+				t.Fatalf("same seed different entries in row %d at %d", i, k)
+			}
 		}
 	}
 }
@@ -117,16 +126,59 @@ func TestCriteoOneHotStructure(t *testing.T) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Every value is exactly 1 (the paper's footnote 2 property).
-	for _, v := range a.Val {
-		if v != 1 {
-			t.Fatalf("non-one value %v in criteo-like data", v)
-		}
+	// Every value is exactly 1 (the paper's footnote 2 property), so the
+	// matrix keeps no value array.
+	if a.Val != nil {
+		t.Fatalf("criteo-like data keeps a value array of %d entries", len(a.Val))
 	}
 	// Every row has exactly Fields non-zeros (one-hot per field).
 	for i := 0; i < a.NumRows; i++ {
 		if n := a.RowPtr[i+1] - a.RowPtr[i]; n != cfg.Fields {
 			t.Fatalf("row %d has %d non-zeros, want %d", i, n, cfg.Fields)
+		}
+	}
+}
+
+// Criteo assembles its CSR as the rows are drawn. The oracle feeds the same
+// rows through a COO and its sort-and-dedup conversion, as the generator
+// once did: the two must agree in every field.
+func TestCriteoMatchesCOOPath(t *testing.T) {
+	for _, seed := range []uint64{2, 20151101} {
+		cfg := CriteoConfig{N: 3000, Fields: 7, CardinalityBase: 300, PositiveRate: 0.25, Seed: seed}
+		got, gy, err := Criteo(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coo := sparse.NewCOO(cfg.N, 0, cfg.N*cfg.Fields)
+		m, wy := criteoRows(cfg, func(i int, features []int) {
+			for _, j := range features {
+				coo.Append(i, j, 1)
+			}
+		})
+		coo.NumCols = m
+		want := coo.ToCSR()
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if got.NumRows != want.NumRows || got.NumCols != want.NumCols || got.NNZ() != want.NNZ() {
+			t.Fatalf("seed %d: shape %dx%d nnz %d, want %dx%d nnz %d", seed,
+				got.NumRows, got.NumCols, got.NNZ(), want.NumRows, want.NumCols, want.NNZ())
+		}
+		if got.Val != nil || want.Val != nil {
+			t.Fatalf("seed %d: value arrays kept (%d direct, %d via COO)", seed, len(got.Val), len(want.Val))
+		}
+		if !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+			t.Fatalf("seed %d: row pointers or column indices differ from the COO path", seed)
+		}
+		for i := 0; i < got.NumRows; i++ {
+			_, gv := got.Row(i)
+			_, wv := want.Row(i)
+			if !slices.Equal(gv, wv) {
+				t.Fatalf("seed %d row %d: values %v, want %v", seed, i, gv, wv)
+			}
+		}
+		if !slices.Equal(gy, wy) {
+			t.Fatalf("seed %d: labels differ from the COO path", seed)
 		}
 	}
 }

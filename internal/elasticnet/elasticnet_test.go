@@ -5,11 +5,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tpascd/internal/engine"
 	"tpascd/internal/gpusim"
 	"tpascd/internal/perfmodel"
 	"tpascd/internal/ridge"
 	"tpascd/internal/rng"
-	"tpascd/internal/engine"
 	"tpascd/internal/sparse"
 )
 

@@ -3,10 +3,10 @@ package sgd
 import (
 	"testing"
 
+	"tpascd/internal/engine"
 	"tpascd/internal/perfmodel"
 	"tpascd/internal/ridge"
 	"tpascd/internal/rng"
-	"tpascd/internal/engine"
 	"tpascd/internal/sparse"
 )
 

@@ -3,7 +3,8 @@ package sparse
 import "sort"
 
 // ToCSR converts a COO matrix to CSR, summing duplicate entries and sorting
-// column indices within each row.
+// column indices within each row. The result is pattern-only (Val nil) when
+// every summed value is exactly 1.
 func (m *COO) ToCSR() *CSR {
 	rowPtr := make([]int, m.NumRows+1)
 	for _, r := range m.Row {
@@ -25,11 +26,13 @@ func (m *COO) ToCSR() *CSR {
 	}
 	out := &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
 	out.sortAndDedupRows()
+	out.Val, out.ones = patternOnly(out.RowPtr, out.Val)
 	return out
 }
 
 // ToCSC converts a COO matrix to CSC, summing duplicate entries and sorting
-// row indices within each column.
+// row indices within each column. The result is pattern-only (Val nil) when
+// every summed value is exactly 1.
 func (m *COO) ToCSC() *CSC {
 	colPtr := make([]int, m.NumCols+1)
 	for _, c := range m.Col {
@@ -51,6 +54,7 @@ func (m *COO) ToCSC() *CSC {
 	}
 	out := &CSC{NumRows: m.NumRows, NumCols: m.NumCols, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
 	out.sortAndDedupCols()
+	out.Val, out.ones = patternOnly(out.ColPtr, out.Val)
 	return out
 }
 
@@ -99,63 +103,61 @@ func (s sliceSorter) Swap(i, j int) {
 }
 
 // ToCSC converts a CSR matrix to CSC (a transpose of the storage layout; the
-// logical matrix is unchanged).
+// logical matrix is unchanged). A pattern-only CSR gives a pattern-only CSC.
 func (m *CSR) ToCSC() *CSC {
-	colPtr := make([]int, m.NumCols+1)
-	for _, c := range m.ColIdx {
-		colPtr[c+1]++
+	colPtr, rowIdx, val, ones := transpose(m.NumRows, m.NumCols, m.RowPtr, m.ColIdx, m.Val)
+	return &CSC{NumRows: m.NumRows, NumCols: m.NumCols, ColPtr: colPtr, RowIdx: rowIdx, Val: val, ones: ones}
+}
+
+// ToCSR converts a CSC matrix to CSR. A pattern-only CSC gives a
+// pattern-only CSR.
+func (m *CSC) ToCSR() *CSR {
+	rowPtr, colIdx, val, ones := transpose(m.NumCols, m.NumRows, m.ColPtr, m.RowIdx, m.Val)
+	return &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val, ones: ones}
+}
+
+// transpose swaps the major and minor dimensions of a compressed layout.
+// Scanning the major slices in order leaves the new minor indices sorted.
+// A nil val stays nil, and the result then gets its own ones buffer.
+func transpose(major, minor int, ptr []int, idx []int32, val []float32) ([]int, []int32, []float32, []float32) {
+	tPtr := make([]int, minor+1)
+	for _, c := range idx {
+		tPtr[c+1]++
 	}
-	for j := 0; j < m.NumCols; j++ {
-		colPtr[j+1] += colPtr[j]
+	for j := 0; j < minor; j++ {
+		tPtr[j+1] += tPtr[j]
 	}
-	rowIdx := make([]int32, m.NNZ())
-	val := make([]float32, m.NNZ())
-	next := make([]int, m.NumCols)
-	copy(next, colPtr[:m.NumCols])
-	for i := 0; i < m.NumRows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			c := m.ColIdx[k]
+	tIdx := make([]int32, len(idx))
+	var tVal []float32
+	if val != nil {
+		tVal = make([]float32, len(idx))
+	}
+	next := make([]int, minor)
+	copy(next, tPtr[:minor])
+	for i := 0; i < major; i++ {
+		for k := ptr[i]; k < ptr[i+1]; k++ {
+			c := idx[k]
 			p := next[c]
-			rowIdx[p] = int32(i)
-			val[p] = m.Val[k]
+			tIdx[p] = int32(i)
+			if val != nil {
+				tVal[p] = val[k]
+			}
 			next[c] = p + 1
 		}
 	}
-	// Row scan order guarantees sorted row indices per column.
-	return &CSC{NumRows: m.NumRows, NumCols: m.NumCols, ColPtr: colPtr, RowIdx: rowIdx, Val: val}
-}
-
-// ToCSR converts a CSC matrix to CSR.
-func (m *CSC) ToCSR() *CSR {
-	rowPtr := make([]int, m.NumRows+1)
-	for _, r := range m.RowIdx {
-		rowPtr[r+1]++
+	if val == nil {
+		return tPtr, tIdx, nil, onesFor(tPtr)
 	}
-	for i := 0; i < m.NumRows; i++ {
-		rowPtr[i+1] += rowPtr[i]
-	}
-	colIdx := make([]int32, m.NNZ())
-	val := make([]float32, m.NNZ())
-	next := make([]int, m.NumRows)
-	copy(next, rowPtr[:m.NumRows])
-	for j := 0; j < m.NumCols; j++ {
-		for k := m.ColPtr[j]; k < m.ColPtr[j+1]; k++ {
-			r := m.RowIdx[k]
-			p := next[r]
-			colIdx[p] = int32(j)
-			val[p] = m.Val[k]
-			next[r] = p + 1
-		}
-	}
-	return &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	return tPtr, tIdx, tVal, nil
 }
 
 // ToCOO converts a CSR matrix to COO with entries in row-major order.
 func (m *CSR) ToCOO() *COO {
 	out := NewCOO(m.NumRows, m.NumCols, m.NNZ())
 	for i := 0; i < m.NumRows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			out.Append(i, int(m.ColIdx[k]), m.Val[k])
+		idx, val := m.Row(i)
+		for k, c := range idx {
+			out.Append(i, int(c), val[k])
 		}
 	}
 	return out
@@ -168,8 +170,9 @@ func (m *CSR) ToDense() [][]float32 {
 	backing := make([]float32, m.NumRows*m.NumCols)
 	for i := range out {
 		out[i] = backing[i*m.NumCols : (i+1)*m.NumCols]
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			out[i][m.ColIdx[k]] = m.Val[k]
+		idx, val := m.Row(i)
+		for k, c := range idx {
+			out[i][c] = val[k]
 		}
 	}
 	return out
@@ -191,7 +194,8 @@ func FromDense(a [][]float32, cols int) *CSR {
 
 // SelectRows returns a new CSR containing the given rows of m, in order.
 // Used to partition training data by example (the SVM distributed example
-// and the train/test split of internal/metrics).
+// and the train/test split of internal/metrics). The selection of a
+// pattern-only matrix is pattern-only and shares its ones buffer.
 func (m *CSR) SelectRows(rows []int) *CSR {
 	rowPtr := make([]int, len(rows)+1)
 	nnz := 0
@@ -200,13 +204,18 @@ func (m *CSR) SelectRows(rows []int) *CSR {
 		rowPtr[i+1] = nnz
 	}
 	colIdx := make([]int32, nnz)
-	val := make([]float32, nnz)
+	var val []float32
+	if m.Val != nil {
+		val = make([]float32, nnz)
+	}
 	p := 0
 	for _, r := range rows {
 		lo, hi := m.RowPtr[r], m.RowPtr[r+1]
 		copy(colIdx[p:], m.ColIdx[lo:hi])
-		copy(val[p:], m.Val[lo:hi])
+		if val != nil {
+			copy(val[p:], m.Val[lo:hi])
+		}
 		p += hi - lo
 	}
-	return &CSR{NumRows: len(rows), NumCols: m.NumCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val}
+	return &CSR{NumRows: len(rows), NumCols: m.NumCols, RowPtr: rowPtr, ColIdx: colIdx, Val: val, ones: m.ones}
 }
