@@ -131,7 +131,7 @@ func Criteo(cfg CriteoConfig) (*sparse.CSR, []float32, error) {
 	// and free of duplicates: the CSR is assembled as it is generated.
 	rowPtr := make([]int, 1, cfg.N+1)
 	colIdx := make([]int32, 0, cfg.N*cfg.Fields)
-	m, y := criteoRows(cfg, func(_ int, features []int) {
+	m, y := criteoRows(cfg, func(features []int) {
 		for _, j := range features {
 			colIdx = append(colIdx, int32(j))
 		}
@@ -143,7 +143,7 @@ func Criteo(cfg CriteoConfig) (*sparse.CSR, []float32, error) {
 // criteoRows draws the rows of a valid criteo-like config in order, handing
 // each row's feature ids (one per field, in field order) to emit, and
 // returns the number of features and the labels.
-func criteoRows(cfg CriteoConfig, emit func(i int, features []int)) (int, []float32) {
+func criteoRows(cfg CriteoConfig, emit func(features []int)) (int, []float32) {
 	r := rng.New(cfg.Seed)
 	// Field vocabularies and their offsets in the global feature space.
 	offsets := make([]int, cfg.Fields+1)
@@ -188,7 +188,7 @@ func criteoRows(cfg CriteoConfig, emit func(i int, features []int)) (int, []floa
 
 	for i := 0; i < cfg.N; i++ {
 		logit := genRow()
-		emit(i, rowFeatures)
+		emit(rowFeatures)
 		if logit > threshold {
 			y[i] = 1
 		} else {

@@ -150,10 +150,12 @@ func TestCriteoMatchesCOOPath(t *testing.T) {
 			t.Fatal(err)
 		}
 		coo := sparse.NewCOO(cfg.N, 0, cfg.N*cfg.Fields)
-		m, wy := criteoRows(cfg, func(i int, features []int) {
+		row := 0
+		m, wy := criteoRows(cfg, func(features []int) {
 			for _, j := range features {
-				coo.Append(i, j, 1)
+				coo.Append(row, j, 1)
 			}
+			row++
 		})
 		coo.NumCols = m
 		want := coo.ToCSR()
